@@ -44,6 +44,7 @@ from .metrics import (
     disparity,
     group_metrics,
     harm_profile,
+    metrics_from_json_dict,
     metrics_to_json_dict,
     tracked_statistics,
 )

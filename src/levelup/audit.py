@@ -251,19 +251,6 @@ def build_report(
 # ---------------------------------------------------------------------------
 # serialization
 
-def _metrics_payload(metrics: GroupMetrics) -> dict:
-    return M.metrics_to_json_dict(metrics)
-
-
-def _metrics_from_payload(payload: dict) -> GroupMetrics:
-    names = tuple(payload.keys())
-    stats = tuple(
-        M.GroupStats(**{k: v for k, v in payload[n].items() if k != "undefined"})
-        for n in names
-    )
-    return GroupMetrics(stats=stats, group_names=names)
-
-
 def report_to_json_dict(report: AuditReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -272,8 +259,8 @@ def report_to_json_dict(report: AuditReport) -> dict:
         "constraint": dict(report.constraint_description),
         "accuracy_before": report.accuracy_before,
         "accuracy_after": report.accuracy_after,
-        "baseline": _metrics_payload(report.baseline),
-        "constrained": _metrics_payload(report.constrained),
+        "baseline": M.metrics_to_json_dict(report.baseline),
+        "constrained": M.metrics_to_json_dict(report.constrained),
         "per_group_deltas": {
             report.baseline.group_names[gid]: {
                 stat: {
@@ -297,7 +284,7 @@ def report_from_json_dict(payload: dict) -> AuditReport:
         raise DataError(
             f"unsupported audit schema version {payload.get('schema_version')!r}"
         )
-    baseline = _metrics_from_payload(payload["baseline"])
+    baseline = M.metrics_from_json_dict(payload["baseline"])
     deltas = []
     for name in baseline.group_names:
         row = payload["per_group_deltas"][name]
@@ -314,7 +301,7 @@ def report_from_json_dict(payload: dict) -> AuditReport:
         )
     return AuditReport(
         baseline=baseline,
-        constrained=_metrics_from_payload(payload["constrained"]),
+        constrained=M.metrics_from_json_dict(payload["constrained"]),
         constraint_description=dict(payload["constraint"]),
         split=payload["split"],
         tolerance=payload["tolerance"],

@@ -277,28 +277,6 @@ def _build_constraint(cfg: dict) -> P.Constraint:
     return P.Equality(measure, cfg["epsilon"])
 
 
-def _constraint_description(constraint: P.Constraint) -> dict:
-    if isinstance(constraint, P.Unconstrained):
-        return {"kind": "unconstrained"}
-    if isinstance(constraint, P.Equality):
-        return {
-            "kind": "equality",
-            "measure": constraint.measure.value,
-            "epsilon": constraint.epsilon,
-        }
-    if isinstance(constraint, P.MinimumRate):
-        return {
-            "kind": "minimum_rate",
-            "statistic": constraint.statistic,
-            "tau": constraint.tau,
-        }
-    return {
-        "kind": "maximum_rate",
-        "statistic": constraint.statistic,
-        "kappa": constraint.kappa,
-    }
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -372,10 +350,11 @@ def _cmd_enforce(cfg: dict, outdir: Path) -> list[str]:
     scored, split_label = _resolve_scored(cfg)
     result = P.enforce(scored, constraint)
     baseline = P.enforce(scored, P.Unconstrained())
+    prov = result.policy.provenance
     report = A.build_report(
         baseline.metrics,
         result.metrics,
-        _constraint_description(constraint),
+        {"kind": prov.constraint, **prov.parameters},
         split=split_label,
         tolerance=cfg["tolerance"],
     )

@@ -180,7 +180,8 @@ def equality_frontier(
             skipped.append(f"epsilon={float(eps):.6g}: {exc}")
             continue
         d = M.disparity(res.metrics, measure)
-        assert d is not None and d <= eps + 1e-12
+        if d is None or d > eps + 1e-12:
+            raise RuntimeError(f"policy at epsilon={float(eps)!r} has disparity {d!r}")
         raw.append(_point(res, d, float(eps)))
     pts = pareto_prune(_dedup(raw), "min")
     return FrontierResult(
@@ -222,7 +223,8 @@ def mrc_frontier(
             skipped.append(f"tau={float(tau):.6g}: {exc}")
             continue
         achieved = res.metrics.values(statistic)
-        assert all(v is not None for v in achieved)
+        if any(v is None for v in achieved):
+            raise RuntimeError(f"policy at tau={float(tau)!r} leaves {statistic} undefined")
         raw.append(_point(res, min(achieved), float(tau)))
     pts = pareto_prune(_dedup(raw), "max")
     return FrontierResult(
@@ -270,19 +272,13 @@ def frontier_from_jsonl(path: str | Path) -> FrontierResult:
     header, rows = lines[0], lines[1:]
     points = []
     for row in rows:
-        gm_raw = row["per_group"]
-        names = tuple(gm_raw.keys())
-        stats = tuple(
-            M.GroupStats(**{k: v for k, v in gm_raw[n].items() if k != "undefined"})
-            for n in names
-        )
         points.append(
             FrontierPoint(
                 policy=policy_from_json_dict(row["policy"]),
                 accuracy=row["accuracy"],
                 objective_value=row["objective_value"],
                 constraint_value=row["constraint_value"],
-                per_group=M.GroupMetrics(stats=stats, group_names=names),
+                per_group=M.metrics_from_json_dict(row["per_group"]),
             )
         )
     return FrontierResult(

@@ -28,6 +28,7 @@ __all__ = [
     "harm_profile",
     "tracked_statistics",
     "metrics_to_json_dict",
+    "metrics_from_json_dict",
 ]
 
 # Direction a change in each statistic is read against when auditing:
@@ -45,8 +46,6 @@ STATISTIC_DIRECTIONS = {
     "accuracy": "higher",
     "fn_fp_ratio": "unclear",
 }
-
-STATISTIC_NAMES = tuple(STATISTIC_DIRECTIONS)
 
 
 @dataclass(frozen=True)
@@ -327,3 +326,13 @@ def metrics_to_json_dict(metrics: GroupMetrics) -> dict:
         stats["undefined"] = undefined
         out[name] = stats
     return out
+
+
+def metrics_from_json_dict(payload: dict) -> GroupMetrics:
+    """Inverse of metrics_to_json_dict."""
+    names = tuple(payload.keys())
+    stats = tuple(
+        GroupStats(**{k: v for k, v in payload[n].items() if k != "undefined"})
+        for n in names
+    )
+    return GroupMetrics(stats=stats, group_names=names)

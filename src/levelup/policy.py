@@ -15,10 +15,10 @@ broken, in order, by lower disparity of the constraint's statistic,
 higher minimum group value of that statistic, then the lexicographically
 smallest threshold vector.  Unconstrained has no relevant statistic, so
 its ties go straight to the lexicographic rule.  The search is exact for
-separable constraints (Unconstrained, MinimumRate, MaximumRate) at any
-group count and for Equality up to 3 groups; Equality with 4 or more
-groups falls back to multi-start coordinate descent and the result is
-flagged approximate.
+every constraint at any group count: Equality and the tie-break among
+separable finalists both use one anchored-window search (see the window
+search section below).  Provenance.approximate stays in the file format
+for old policy files and is always false.
 
 Levelling-up floor.  MinimumRate enforcement never returns a policy in
 which any group's constrained statistic falls below the value that group
@@ -30,7 +30,7 @@ and the audit module exists to expose it.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,19 +62,6 @@ __all__ = [
 REJECT_ALL = 1.5
 
 MIN_RATE_STATISTICS = ("selection_rate", "tpr", "tnr", "precision")
-
-# How each statistic responds to raising the threshold; "up" means the
-# statistic can only grow as the threshold grows.
-_THRESHOLD_RESPONSE = {
-    "selection_rate": "down",
-    "tpr": "down",
-    "tnr": "up",
-    "fpr": "down",
-    "fnr": "up",
-    "precision": "nonmonotone",
-    "npv": "nonmonotone",
-    "accuracy": "nonmonotone",
-}
 
 
 @dataclass(frozen=True)
@@ -117,8 +104,8 @@ class Equality:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise DataError("epsilon must be >= 0")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise DataError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if not harm_profile(self.measure).enforceable:
             raise DataError(f"{self.measure.value} is reportable but not enforceable")
 
@@ -282,224 +269,266 @@ def candidate_thresholds(scored: ScoredDataset, gid: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # tie-break machinery
 
-def _finalist_keys(tables, combos, stat_names, primary):
-    """Key arrays (disparity, -min primary, thresholds...) for finalist combos."""
-    G = len(tables)
-    F = len(combos)
-    idx = np.asarray(combos, dtype=np.int64).reshape(F, G)
-    disp = np.zeros(F)
-    for name in stat_names:
-        vals = np.stack([tables[g].stat(name)[idx[:, g]] for g in range(G)], axis=1)
-        disp = np.maximum(disp, vals.max(axis=1) - vals.min(axis=1))
-    prim = np.stack([tables[g].stat(primary)[idx[:, g]] for g in range(G)], axis=1)
-    min_prim = prim.min(axis=1)
-    thr = np.stack([tables[g].thresholds[idx[:, g]] for g in range(G)], axis=1)
-    return disp, min_prim, thr, idx
-
-
 def _pick_best(tables, combos, stat_names, primary):
-    """Deterministic winner among accuracy-tied feasible combos."""
-    if len(combos) == 1:
-        return tuple(combos[0])
-    G = len(tables)
-    if stat_names:
-        disp, min_prim, thr, idx = _finalist_keys(tables, combos, stat_names, primary)
-        keys = [thr[:, g] for g in reversed(range(G))] + [-min_prim, disp]
-    else:
-        idx = np.asarray(combos, dtype=np.int64).reshape(len(combos), G)
-        thr = np.stack([tables[g].thresholds[idx[:, g]] for g in range(G)], axis=1)
-        keys = [thr[:, g] for g in reversed(range(G))]
-    best = np.lexsort(tuple(keys))[0]
-    return tuple(int(v) for v in idx[best])
+    """Deterministic winner among accuracy-tied feasible combos (F, G)."""
+    groups = range(len(tables))
+
+    def column(values):
+        return np.stack([values[g][combos[:, g]] for g in groups], axis=1)
+
+    disp = np.zeros(len(combos))
+    for name in stat_names:
+        vals = column([t.stat(name) for t in tables])
+        disp = np.maximum(disp, vals.max(axis=1) - vals.min(axis=1))
+    min_prim = column([t.stat(primary) for t in tables]).min(axis=1)
+    thr = column([t.thresholds for t in tables])
+    keys = [thr[:, g] for g in reversed(groups)] + [-min_prim, disp]
+    return tuple(int(v) for v in combos[np.lexsort(tuple(keys))[0]])
 
 
 # ---------------------------------------------------------------------------
-# separable constraints: per-group feasible sets, exact at any group count
+# window search: exact coupled search over per-group candidate sets
+#
+# Let lo be the smallest value of a tracked statistic in a combination of
+# one candidate per group.  The combination is feasible exactly when every
+# group's value v has v - lo <= eps, for each tracked statistic.  So the
+# feasible combinations are the union, over anchors lo drawn from the
+# candidates' own values, of products of per-group windows, and the best
+# pooled accuracy is the best, over anchors, of a sum of per-group window
+# maxima.
+
+@dataclass
+class _Members:
+    """One group's candidates whose tracked statistics are all defined,
+    sorted by (first statistic, second statistic)."""
+
+    idx: np.ndarray
+    stats: np.ndarray  # one row per tracked statistic
+    correct: np.ndarray
+
+    def __post_init__(self):
+        # sparse[k, i] = max(correct[i:i + 2**k]), -1 past the end
+        levels = [self.correct]
+        while 2 ** len(levels) <= len(self.correct):
+            half = 2 ** (len(levels) - 1)
+            levels.append(np.maximum(levels[-1][:-half], levels[-1][half:]))
+        self.sparse = np.full((len(levels), len(self.correct)), -1, dtype=np.int64)
+        for k, level in enumerate(levels):
+            self.sparse[k, : len(level)] = level
+
+    def subset(self, keep: np.ndarray) -> _Members:
+        return _Members(self.idx[keep], self.stats[:, keep], self.correct[keep])
+
+    def window_max(self, L, R):
+        """Max of correct over each [L, R); -1 where the window is empty."""
+        k = np.frexp(np.maximum(R - L, 1))[1] - 1
+        start = np.minimum(L, len(self.correct) - 1)
+        best = np.maximum(self.sparse[k, start], self.sparse[k, np.maximum(R - (1 << k), start)])
+        return np.where(R > L, best, -1)
+
+
+def _members(tables, stat_names, subsets=None) -> list[_Members]:
+    """Per group, the candidates (all, or those in subsets[g]) to search."""
+    out = []
+    for g, t in enumerate(tables):
+        stats = np.stack([t.stat(name) for name in stat_names])
+        idx = np.arange(t.m) if subsets is None else subsets[g]
+        idx = idx[~np.isnan(stats[:, idx]).any(axis=0)]
+        idx = idx[np.lexsort(stats[::-1, idx])]
+        out.append(_Members(idx, stats[:, idx], t.correct[idx]))
+    return out
+
+
+def _windows(values, anchors, eps):
+    """[L, R) of the sorted values v with v >= lo and v - lo <= eps, per anchor lo.
+
+    v - lo <= eps is the subtraction metrics.disparity does; lo + eps can
+    round across a value, so R is settled on the subtraction.
+    """
+    n = len(values)
+    L = np.searchsorted(values, anchors, "left")
+    R = np.searchsorted(values, anchors + eps, "right")
+    while True:
+        nxt, last = values[np.minimum(R, n - 1)], values[np.maximum(R - 1, 0)]
+        grow = (R < n) & (nxt - anchors <= eps)
+        shrink = (R > L) & (last - anchors > eps)
+        if not (grow.any() or shrink.any()):
+            return L, R
+        R = np.where(grow, np.searchsorted(values, nxt, "right"), R)
+        R = np.where(shrink, np.searchsorted(values, last, "left"), R)
+
+
+def _anchor_pass(members, eps):
+    """First-statistic windows of every group at every anchor, the groups'
+    window maxima, and each anchor's total (-1 when a window is empty)."""
+    anchors = np.unique(np.concatenate([mb.stats[0] for mb in members]))
+    L, R = zip(*(_windows(mb.stats[0], anchors, eps) for mb in members))
+    best = np.stack([mb.window_max(lo, hi) for mb, lo, hi in zip(members, L, R)])
+    return L, R, best, np.where((best >= 0).all(axis=0), best.sum(axis=0), -1)
+
+
+def _window_search(members, eps):
+    """Best total correct over feasible combinations, and every combination
+    reaching it as candidate indices (F, G); (-1, None) when none is feasible.
+    """
+    if len(members[0].stats) == 2:
+        return _box_search(members, eps)
+    L, R, best, total = _anchor_pass(members, eps)
+    top = int(total.max())
+    if top < 0:
+        return -1, None
+    tied = np.flatnonzero(total == top)
+    # Per tied anchor and group, the first and last window position whose
+    # correct equals the window's best; sorting correct * m + position
+    # groups each value's positions in ascending runs.
+    rows = []
+    for g, mb in enumerate(members):
+        m = len(mb.correct)
+        keys = np.sort(mb.correct * m + np.arange(m))
+        base = best[g, tied] * m
+        rows.append(keys[np.searchsorted(keys, base + L[g][tied])] - base)
+        rows.append(keys[np.searchsorted(keys, base + R[g][tied]) - 1] - base)
+    combos = []
+    for row in np.unique(np.stack(rows, axis=1), axis=0):
+        sets = []
+        for g, mb in enumerate(members):
+            span = slice(row[2 * g], row[2 * g + 1] + 1)
+            sets.append(mb.idx[span][mb.correct[span] == mb.correct[row[2 * g]]])
+        grid = np.meshgrid(*sets, indexing="ij")
+        combos.append(np.stack([axis.ravel() for axis in grid], axis=1))
+    return top, np.unique(np.concatenate(combos), axis=0)
+
+
+def _box_search(members, eps):
+    """Two statistics: find the best, then collect the finalists among the
+    members that can still reach it.
+
+    A finalist's member in group g has correct >= (the group's max) -
+    slack, where slack is the sum of the group maxima minus the best;
+    dropping the others keeps the collection small when many anchors tie.
+    """
+    members = _prune(members, eps)
+    if members is None:
+        return -1, None
+    top, _ = _box_scan(members, eps, ties=False)
+    if top < 0:
+        return -1, None
+    slack = sum(int(mb.correct.max()) for mb in members) - top
+    return _box_scan([mb.subset(mb.correct >= mb.correct.max() - slack)
+                      for mb in members], eps, ties=True)
+
+
+def _box_scan(members, eps, ties):
+    """For each first-statistic anchor, the one-statistic search on the
+    second statistic over the anchor's windows.
+
+    The first-statistic pass caps each anchor's total, so anchors are
+    visited best bound first until the bound falls below the best exact
+    total found (or reaches it, when ties are not wanted).
+    """
+    L, R, _, bound = _anchor_pass(members, eps)
+    top, found = -1, []
+    for a in np.argsort(-bound, kind="stable"):
+        if bound[a] < max(top + (not ties), 0):
+            break
+        window = []
+        for mb, lo, hi in zip(members, L, R):
+            span = np.arange(lo[a], hi[a])
+            span = span[np.argsort(mb.stats[1, span], kind="stable")]
+            window.append(_Members(mb.idx[span], mb.stats[1:, span], mb.correct[span]))
+        best, finalists = _window_search(window, eps)
+        if best > top:
+            top, found = best, []
+        if best == top >= 0:
+            found.append(finalists)
+    if top < 0:
+        return -1, None
+    return top, np.unique(np.concatenate(found), axis=0)
+
+
+def _prune(members, eps):
+    """Drop the members that no feasible combination can use.
+
+    For each statistic, a usable member lies in the window of some anchor
+    at which every group's window is non-empty.  Dropping members can
+    empty other windows, so this repeats until nothing changes.  None
+    when a group runs out of members.
+    """
+    while True:
+        keep = [np.ones(len(mb.idx), dtype=bool) for mb in members]
+        for s in range(len(members[0].stats)):
+            values = [mb.stats[s] for mb in members]
+            anchors = np.unique(np.concatenate(values))
+            orders = [np.argsort(v, kind="stable") for v in values]
+            windows = [_windows(v[o], anchors, eps) for v, o in zip(values, orders)]
+            live = np.all([hi > lo for lo, hi in windows], axis=0)
+            for k, (lo, hi), o in zip(keep, windows, orders):
+                n = len(o) + 1
+                depth = np.bincount(lo[live], minlength=n) - np.bincount(hi[live], minlength=n)
+                k[o] &= np.cumsum(depth[:-1]) > 0
+        if not all(k.any() for k in keep):
+            return None
+        if all(k.all() for k in keep):
+            return members
+        members = [mb.subset(k) for mb, k in zip(members, keep)]
+
+
+def _min_disparity(members) -> float:
+    """The smallest disparity any combination reaches: the least float eps
+    at which the window search finds a feasible combination."""
+    if len(members[0].stats) == 1:
+        # anchor lo needs eps >= (each group's smallest value >= lo) - lo
+        anchors = np.unique(np.concatenate([mb.stats[0] for mb in members]))
+        need = np.zeros(len(anchors))
+        for mb in members:
+            at = np.searchsorted(mb.stats[0], anchors)
+            gap = mb.stats[0][np.minimum(at, len(mb.idx) - 1)] - anchors
+            need = np.maximum(need, np.where(at < len(mb.idx), gap, np.inf))
+        return float(need.min())
+    # Statistics lie in [0, 1] and non-negative floats order like their
+    # bit patterns, so bisect on the bits.
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _window_search(members, float(np.int64(mid).view(np.float64)))[0] >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(np.int64(lo).view(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# separable constraints: per-group feasible sets
 
 def _unconstrained_indices(tables) -> tuple[int, ...]:
-    picks = []
-    for t in tables:
-        c = t.correct
-        picks.append(int(np.flatnonzero(c == c.max())[0]))
-    return tuple(picks)
+    return tuple(int(np.argmax(t.correct)) for t in tables)
 
 
-def _separable_search(tables, group_names, per_group_feasible, stat_names, primary):
-    """Exact search when both objective and constraint split across groups."""
+def _separable_search(tables, per_group_feasible, stat):
+    """Exact search when both objective and constraint split across groups.
+
+    Each group keeps its accuracy-tied finalists; the tie-break's lowest
+    disparity is their minimum achievable disparity, so the window search
+    at that epsilon yields exactly the combos the tie-break ranks.
+    """
     finalist_sets = []
     for g, t in enumerate(tables):
         feas = per_group_feasible[g]
         if not np.any(feas):
             return None, g
         c = np.where(feas, t.correct, -1)
-        finalists = np.flatnonzero(c == c.max())
-        finalist_sets.append([int(i) for i in finalists])
-    n_combos = 1
-    for s in finalist_sets:
-        n_combos *= len(s)
-    if n_combos > 1_000_000:
-        # Degenerate tie plateau; resolve per group by the lexicographic rule.
-        combos = [tuple(s[0] for s in finalist_sets)]
-    else:
-        combos = list(itertools.product(*finalist_sets))
-    return _pick_best(tables, combos, stat_names, primary), None
-
-
-# ---------------------------------------------------------------------------
-# equality constraint: coupled search over the grid product
-
-def _equality_grid_search(tables, eps, stat_names, primary):
-    """Exact chunked scan of the full candidate product, 2 or 3 groups."""
-    G = len(tables)
-    ms = [t.m for t in tables]
-    tail = int(np.prod(ms[1:])) if G > 1 else 1
-    chunk = max(1, int(4_000_000 // max(tail, 1)))
-
-    def tail_shape(x, g):
-        # reshape group g's array for broadcasting over groups 1..G-1
-        shape = [1] * (G - 1)
-        shape[g - 1] = -1
-        return x.reshape(shape)
-
-    stat_arrays = {name: [t.stat(name) for t in tables] for name in stat_names}
-    correct = [t.correct for t in tables]
-
-    best_correct = -1
-    finalists: list[tuple[int, ...]] = []
-    min_disp = np.inf
-    any_defined = False
-
-    for lo in range(0, ms[0], chunk):
-        hi = min(lo + chunk, ms[0])
-        span = hi - lo
-        shape = (span, *ms[1:])
-        disp = np.zeros(shape)
-        for name in stat_names:
-            arrs = stat_arrays[name]
-            top = arrs[0][lo:hi].reshape((span,) + (1,) * (G - 1))
-            smax, smin = top, top
-            for g in range(1, G):
-                sg = tail_shape(arrs[g], g)[None, ...]
-                smax = np.maximum(smax, sg)
-                smin = np.minimum(smin, sg)
-            disp = np.maximum(disp, np.broadcast_to(smax - smin, shape))
-        defined = ~np.isnan(disp)
-        if defined.any():
-            any_defined = True
-            min_disp = min(min_disp, float(np.nanmin(disp)))
-        feasible = disp <= eps
-        if not feasible.any():
-            continue
-        ctot = correct[0][lo:hi].reshape((span,) + (1,) * (G - 1)).copy()
-        for g in range(1, G):
-            ctot = ctot + tail_shape(correct[g], g)[None, ...]
-        ctot = np.where(feasible, ctot, -1)
-        local_best = int(ctot.max())
-        if local_best < 0 or local_best < best_correct:
-            continue
-        where = np.argwhere(ctot == local_best)
-        where[:, 0] += lo
-        combos = [tuple(int(v) for v in row) for row in where]
-        if local_best > best_correct:
-            best_correct = local_best
-            finalists = combos
-        else:
-            finalists.extend(combos)
-
-    if best_correct < 0:
-        if not any_defined:
-            raise InfeasibleConstraintError(
-                "tracked statistic is undefined for every candidate policy"
-            )
-        raise InfeasibleConstraintError(
-            f"no candidate policy reaches disparity <= {eps}; "
-            f"minimum achievable disparity is {min_disp:.6g}"
-        )
-    return _pick_best(tables, finalists, stat_names, primary)
-
-
-def _single_axis_keys(tables, idx, axis, eps, stat_names, primary):
-    """Feasibility and tie keys along one axis with the others pinned."""
-    G = len(tables)
-    t = tables[axis]
-    m = t.m
-    disp = np.zeros(m)
-    for name in stat_names:
-        others = [
-            tables[g].stat(name)[idx[g]] for g in range(G) if g != axis
-        ]
-        omax = max(others)
-        omin = min(others)
-        sg = t.stat(name)
-        disp = np.maximum(disp, np.maximum(sg, omax) - np.minimum(sg, omin))
-    feasible = disp <= eps
-    base = sum(tables[g].correct[idx[g]] for g in range(G) if g != axis)
-    ctot = base + t.correct
-    oprim = [tables[g].stat(primary)[idx[g]] for g in range(G) if g != axis]
-    min_prim = np.minimum(t.stat(primary), min(oprim)) if oprim else t.stat(primary)
-    return feasible, ctot, disp, min_prim
-
-
-def _equality_descent(tables, eps, stat_names, primary):
-    """Multi-start coordinate descent for 4 or more groups; approximate."""
-    G = len(tables)
-    starts = [
-        list(_unconstrained_indices(tables)),
-        [0] * G,
-        [t.m - 1 for t in tables],
-    ]
-    best_state = None
-    best_key = None
-    for start in starts:
-        idx = list(start)
-        for _ in range(100):
-            moved = False
-            for axis in range(G):
-                feasible, ctot, disp, min_prim = _single_axis_keys(
-                    tables, idx, axis, eps, stat_names, primary
-                )
-                thr = tables[axis].thresholds
-                cur = idx[axis]
-                # favour feasibility, then the documented tie-break chain
-                cand_key = np.lexsort(
-                    (thr, -min_prim, np.where(np.isnan(disp), np.inf, disp),
-                     -ctot, ~feasible)
-                )[0]
-                better = (
-                    (feasible[cand_key], ctot[cand_key], -disp[cand_key],
-                     min_prim[cand_key], -thr[cand_key])
-                    > (feasible[cur], ctot[cur], -disp[cur],
-                       min_prim[cur], -thr[cur])
-                )
-                if cand_key != cur and better:
-                    idx[axis] = int(cand_key)
-                    moved = True
-            if not moved:
-                break
-        feasible, ctot, disp, min_prim = _single_axis_keys(
-            tables, idx, 0, eps, stat_names, primary
-        )
-        k = idx[0]
-        if not feasible[k]:
-            continue
-        key = (ctot[k], -disp[k], min_prim[k],
-               tuple(-tables[g].thresholds[idx[g]] for g in range(G)))
-        if best_key is None or key > best_key:
-            best_key = key
-            best_state = tuple(idx)
-    if best_state is None:
-        raise InfeasibleConstraintError(
-            f"no feasible policy found for disparity <= {eps} "
-            "(approximate search over 4 or more groups)"
-        )
-    return best_state
+        finalist_sets.append(np.flatnonzero(c == c.max()))
+    if all(len(s) == 1 for s in finalist_sets):
+        return tuple(int(s[0]) for s in finalist_sets), None
+    members = _members(tables, (stat,), finalist_sets)
+    _, finalists = _window_search(members, _min_disparity(members))
+    return _pick_best(tables, finalists, (stat,), stat), None
 
 
 # ---------------------------------------------------------------------------
 # enforce
 
-def _finish(scored, tables, picks, constraint_name, parameters, search,
-            approximate=False, note=""):
+def _finish(scored, tables, picks, constraint_name, parameters, search, note=""):
     thresholds = tuple(float(tables[g].thresholds[picks[g]]) for g in range(len(tables)))
     policy = ThresholdPolicy(
         thresholds=thresholds,
@@ -508,7 +537,6 @@ def _finish(scored, tables, picks, constraint_name, parameters, search,
             constraint=constraint_name,
             parameters=parameters,
             search=search,
-            approximate=approximate,
             note=note,
         ),
     )
@@ -516,7 +544,8 @@ def _finish(scored, tables, picks, constraint_name, parameters, search,
     gm = M.group_metrics(counts)
     correct = sum(counts.tp) + sum(counts.tn)
     expected = sum(int(tables[g].correct[picks[g]]) for g in range(len(tables)))
-    assert correct == expected, "candidate table disagrees with direct tally"
+    if correct != expected:
+        raise RuntimeError(f"candidate table counts {expected} correct, tally {correct}")
     return EnforcementResult(
         policy=policy, metrics=gm, accuracy=correct / scored.n_rows
     )
@@ -530,11 +559,9 @@ def enforce(scored: ScoredDataset, constraint: Constraint) -> EnforcementResult:
     cause.
     """
     tables = _build_tables(scored)
-    G = len(tables)
 
     if isinstance(constraint, Unconstrained):
-        feas = [np.ones(t.m, dtype=bool) for t in tables]
-        picks, _ = _separable_search(tables, scored.group_names, feas, (), "")
+        picks = _unconstrained_indices(tables)
         return _finish(scored, tables, picks, "unconstrained", {}, "exact-grid")
 
     if isinstance(constraint, (MinimumRate, MaximumRate)):
@@ -550,9 +577,7 @@ def enforce(scored: ScoredDataset, constraint: Constraint) -> EnforcementResult:
             else:
                 ok = vals <= constraint.kappa
             feas.append(ok)
-        picks, blocked = _separable_search(
-            tables, scored.group_names, feas, (stat,), stat
-        )
+        picks, blocked = _separable_search(tables, feas, stat)
         if picks is None:
             name = scored.group_names[blocked]
             vals = tables[blocked].stat(stat)
@@ -577,19 +602,21 @@ def enforce(scored: ScoredDataset, constraint: Constraint) -> EnforcementResult:
         return _finish(scored, tables, picks, kind, params, "exact-grid")
 
     if isinstance(constraint, Equality):
-        names = tracked_statistics(constraint.measure)
-        primary = names[0]
-        params = {"measure": constraint.measure.value, "epsilon": constraint.epsilon}
-        if G <= 3:
-            picks = _equality_grid_search(tables, constraint.epsilon, names, primary)
-            return _finish(scored, tables, picks, "equality", params, "exact-grid")
-        picks = _equality_descent(tables, constraint.epsilon, names, primary)
-        return _finish(
-            scored, tables, picks, "equality", params, "coordinate-descent",
-            approximate=True,
-            note="equality over 4 or more groups uses multi-start coordinate "
-            "descent; the result may be suboptimal",
-        )
+        names, eps = tracked_statistics(constraint.measure), constraint.epsilon
+        members = _members(tables, names)
+        if any(len(mb.idx) == 0 for mb in members):
+            raise InfeasibleConstraintError(
+                "tracked statistic is undefined for every candidate policy"
+            )
+        top, finalists = _window_search(members, eps)
+        if top < 0:
+            raise InfeasibleConstraintError(
+                f"no candidate policy reaches disparity <= {eps}; "
+                f"minimum achievable disparity is {_min_disparity(members):.6g}"
+            )
+        picks = _pick_best(tables, finalists, names, names[0])
+        params = {"measure": constraint.measure.value, "epsilon": eps}
+        return _finish(scored, tables, picks, "equality", params, "exact-grid")
 
     raise DataError(f"unknown constraint {constraint!r}")
 

@@ -102,6 +102,30 @@ def _feasible(constraint, per_group_counts, floors):
     raise TypeError(constraint)
 
 
+def _count_tables(scored):
+    """Per group: the candidate grid and the tally at each candidate."""
+    grids, count_tables = [], []
+    for g in range(scored.n_groups):
+        rows = scored.groups == g
+        s, y = scored.scores[rows], scored.labels[rows]
+        grids.append(candidate_grid(s))
+        count_tables.append([tally(s, y, t) for t in grids[-1]])
+    return grids, count_tables
+
+
+def brute_force_min_disparity(scored, measure):
+    """Smallest disparity of the measure over every threshold combination,
+    or None when it is undefined for all of them."""
+    _, count_tables = _count_tables(scored)
+    names = _TRACKED[measure.value]
+    best = None
+    for counts in itertools.product(*count_tables):
+        disp = _disparity(counts, names)
+        if disp is not None and (best is None or disp < best):
+            best = disp
+    return best
+
+
 def brute_force_enforce(scored, constraint):
     """Exhaustive search over every candidate threshold combination.
 
@@ -110,15 +134,7 @@ def brute_force_enforce(scored, constraint):
     combination is feasible.  MinimumRate uses the per-group unconstrained
     value as an extra floor, matching the package's documented behaviour.
     """
-    per_group = []
-    for g in range(scored.n_groups):
-        rows = scored.groups == g
-        per_group.append((scored.scores[rows], scored.labels[rows]))
-
-    grids = [candidate_grid(s) for s, _ in per_group]
-    count_tables = []
-    for (s, y), grid in zip(per_group, grids):
-        count_tables.append([tally(s, y, t) for t in grid])
+    grids, count_tables = _count_tables(scored)
 
     floors = [None] * scored.n_groups
     if isinstance(constraint, MinimumRate):

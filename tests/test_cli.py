@@ -156,6 +156,12 @@ class TestEnforce:
                      "--constraint", "te", "--epsilon", "0.1",
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_non_finite_epsilon_is_data_error(self, scores_path, tmp_path, capsys):
+        assert main(["enforce", "--scores", str(scores_path),
+                     "--constraint", "dp", "--epsilon", "nan",
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "epsilon" in capsys.readouterr().err
+
     def test_two_sources_rejected(self, scores_path, spec_path, tmp_path):
         assert main(["enforce", "--scores", str(scores_path),
                      "--synth-spec", str(spec_path), "--constraint", "none",

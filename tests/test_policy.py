@@ -19,6 +19,7 @@ from levelup import (
     disparity,
     enforce,
     full_level_up,
+    harm_profile,
     partial_level_up,
     policy_from_json_dict,
     policy_to_json_dict,
@@ -29,6 +30,11 @@ from conftest import random_small_scored
 DP = FairnessMeasure.DEMOGRAPHIC_PARITY
 EO = FairnessMeasure.EQUAL_OPPORTUNITY
 ODDS = FairnessMeasure.EQUALIZED_ODDS
+PP = FairnessMeasure.PREDICTIVE_PARITY
+FPERB = FairnessMeasure.FALSE_POSITIVE_ERROR_RATE_BALANCE
+CUAE = FairnessMeasure.CONDITIONAL_USE_ACCURACY_EQUALITY
+OAE = FairnessMeasure.OVERALL_ACCURACY_EQUALITY
+ENFORCEABLE = [m for m in FairnessMeasure if harm_profile(m).enforceable]
 
 
 def scored_of(rows):
@@ -95,6 +101,11 @@ class TestConstraintValidation:
         with pytest.raises(DataError):
             Equality(DP, epsilon=-0.1)
 
+    def test_equality_rejects_non_finite_epsilon(self):
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(DataError):
+                Equality(DP, epsilon=eps)
+
     def test_equality_rejects_unenforceable_measure(self):
         with pytest.raises(DataError):
             Equality(FairnessMeasure.TREATMENT_EQUALITY, epsilon=0.1)
@@ -147,6 +158,11 @@ class TestOracleAgreement:
             Equality(DP, epsilon=float(rng.uniform(0.0, 0.2))),
             Equality(EO, epsilon=float(rng.uniform(0.0, 0.2))),
             Equality(ODDS, epsilon=float(rng.uniform(0.05, 0.3))),
+            Equality(ODDS, epsilon=float(rng.choice([0.1, 0.25, 0.5]))),
+            Equality(PP, epsilon=float(rng.uniform(0.0, 0.3))),
+            Equality(FPERB, epsilon=float(rng.uniform(0.0, 0.2))),
+            Equality(CUAE, epsilon=float(rng.uniform(0.05, 0.4))),
+            Equality(OAE, epsilon=float(rng.uniform(0.0, 0.2))),
             MinimumRate("selection_rate", float(rng.uniform(0.0, 0.8))),
             MinimumRate("tpr", float(rng.uniform(0.0, 0.9))),
             MinimumRate("tnr", float(rng.uniform(0.0, 0.9))),
@@ -157,8 +173,17 @@ class TestOracleAgreement:
     def check(self, scored, constraint):
         want = oracle.brute_force_enforce(scored, constraint)
         if want is None:
-            with pytest.raises(InfeasibleConstraintError):
+            with pytest.raises(InfeasibleConstraintError) as info:
                 enforce(scored, constraint)
+            if isinstance(constraint, Equality):
+                d = oracle.brute_force_min_disparity(scored, constraint.measure)
+                if d is None:
+                    message = "tracked statistic is undefined for every candidate policy"
+                else:
+                    message = (f"no candidate policy reaches disparity <= "
+                               f"{constraint.epsilon}; minimum achievable "
+                               f"disparity is {d:.6g}")
+                assert str(info.value) == message
             return
         got = enforce(scored, constraint)
         assert got.policy.thresholds == want[0], constraint
@@ -179,6 +204,11 @@ class TestOracleAgreement:
                                Equality(DP, epsilon=0.0),
                                Equality(DP, epsilon=0.1),
                                Equality(EO, epsilon=0.15),
+                               Equality(PP, epsilon=0.1),
+                               Equality(FPERB, epsilon=0.1),
+                               Equality(ODDS, epsilon=0.2),
+                               Equality(CUAE, epsilon=0.25),
+                               Equality(OAE, epsilon=0.1),
                                MinimumRate("selection_rate", 0.3),
                                MaximumRate(0.5)]:
                 self.check(scored, constraint)
@@ -193,19 +223,75 @@ class TestOracleAgreement:
                                MaximumRate(0.6)]:
                 self.check(scored, constraint)
 
-
-class TestEqualityDescent:
-    def test_four_group_equality_is_flagged_approximate(self):
+    def test_four_group_equality_is_exact(self):
         rng = np.random.default_rng(400)
         scored = random_small_scored(rng, n_groups=4, max_distinct=6)
         constraint = Equality(DP, epsilon=0.2)
-        result = enforce(scored, constraint)
-        assert result.policy.provenance.approximate
-        assert result.policy.provenance.search == "coordinate-descent"
-        # feasible, and no better than the true optimum
-        assert disparity(result.metrics, DP) <= 0.2
-        want = oracle.brute_force_enforce(scored, constraint)
-        assert result.accuracy <= want[2] + 1e-12
+        provenance = enforce(scored, constraint).policy.provenance
+        assert provenance.search == "exact-grid"
+        assert not provenance.approximate
+        self.check(scored, constraint)
+
+    def test_epsilon_boundary_follows_the_disparity_subtraction(self):
+        # 5/6 - 1/3 == 0.5 in floating point although 1/3 + 0.5 < 5/6,
+        # and 4/5 - 1/2 > 0.3 although 1/2 + 0.3 == 4/5
+        include = scored_of([(0.2, 0, "a"), (0.4, 0, "a"), (0.9, 1, "a"),
+                             (0.1, 0, "b")]
+                            + [(s, 1, "b") for s in (0.3, 0.4, 0.5, 0.6, 0.7)])
+        exclude = scored_of([(0.3, 0, "a"), (0.8, 1, "a"), (0.1, 0, "b")]
+                            + [(s, 1, "b") for s in (0.3, 0.5, 0.7, 0.9)])
+        assert enforce(include, Equality(DP, 0.5)).accuracy == 1.0
+        assert enforce(exclude, Equality(DP, 0.3)).accuracy < 1.0
+        self.check(include, Equality(DP, 0.5))
+        self.check(exclude, Equality(DP, 0.3))
+
+    @pytest.mark.parametrize("n_groups, max_distinct, datasets",
+                             [(4, 5, 3), (5, 4, 1)])
+    def test_equality_at_four_and_five_groups(self, n_groups, max_distinct,
+                                              datasets):
+        rng = np.random.default_rng(500 + n_groups)
+        for _ in range(datasets):
+            scored = random_small_scored(rng, n_groups=n_groups,
+                                         max_distinct=max_distinct)
+            for measure in ENFORCEABLE:
+                for eps in (0.0, float(rng.uniform(0.05, 0.3))):
+                    self.check(scored, Equality(measure, eps))
+
+
+def smallest_spread(value_lists):
+    """Smallest max - min over picks of one value per list (sliding window)."""
+    merged = sorted((v, g) for g, vals in enumerate(value_lists) for v in vals)
+    count = [0] * len(value_lists)
+    covered, left, best = 0, 0, None
+    for v, g in merged:
+        count[g] += 1
+        covered += count[g] == 1
+        while covered == len(value_lists):
+            low, low_g = merged[left]
+            best = v - low if best is None else min(best, v - low)
+            count[low_g] -= 1
+            covered -= count[low_g] == 0
+            left += 1
+    return best
+
+
+class TestSeparableTiePlateau:
+    def test_plateau_reaches_minimum_disparity(self):
+        # Labels alternate along each group's scores, so every odd
+        # candidate index ties on correctness: 5 * 7 * 9 * 13 * 17 * 25 > 1M
+        # tied combos, all of which the tie-break must rank.  Every group
+        # can select exactly half its rows, so the plateau reaches zero
+        # disparity; the lowest tied thresholds alone do not.
+        sizes = [10, 14, 18, 26, 34, 50]
+        scores = np.concatenate([np.linspace(0.02, 0.98, n) for n in sizes])
+        labels = np.concatenate([np.arange(n) % 2 for n in sizes])
+        groups = np.concatenate([np.full(n, g) for g, n in enumerate(sizes)])
+        scored = scored_from_arrays(scores, labels, groups,
+                                    tuple(f"g{g}" for g in range(len(sizes))))
+        result = enforce(scored, MaximumRate(1.0))
+        assert result.accuracy == enforce(scored, Unconstrained()).accuracy
+        plateau = [[(n - k) / n for k in range(1, n, 2)] for n in sizes]
+        assert disparity(result.metrics, DP) == smallest_spread(plateau)
 
 
 class TestMinimumRateSemantics:
