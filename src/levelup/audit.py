@@ -24,6 +24,7 @@ only; their movement is already mirrored by tnr and tpr.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,8 +125,8 @@ def detect_levelling_down(
     """
     if baseline.group_names != constrained.group_names:
         raise DataError("baseline and constrained metrics name different groups")
-    if tolerance < 0:
-        raise DataError("tolerance must be >= 0")
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise DataError(f"tolerance must be a finite number >= 0, got {tolerance}")
     flagged = []
     indeterminate = []
     for stat in statistics:

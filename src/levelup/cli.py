@@ -299,9 +299,7 @@ _FRONTIER_KEYS = (
     *_TRAIN_KEYS, "scores", "enforce_on", "mode", "measure", "stat",
     "resolution",
 )
-_AUDIT_KEYS = (
-    "out", "seed", "scores", "policy", "baseline_policy", "tolerance",
-)
+_AUDIT_KEYS = ("out", "scores", "policy", "baseline_policy", "tolerance")
 _SYNTH_KEYS = ("out", "seed", "synth_spec")
 
 

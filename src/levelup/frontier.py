@@ -14,6 +14,7 @@ equal on both coordinates survive together.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +30,8 @@ from .policy import (
     MinimumRate,
     ThresholdPolicy,
     Unconstrained,
-    enforce,
+    _build_tables,
+    _enforce,
     policy_from_json_dict,
     policy_to_json_dict,
 )
@@ -150,6 +152,11 @@ def _dedup(points: list[FrontierPoint]) -> list[FrontierPoint]:
     return out
 
 
+def _check_resolution(resolution) -> None:
+    if not isinstance(resolution, numbers.Integral) or resolution < 2:
+        raise DataError(f"resolution must be an integer >= 2, got {resolution!r}")
+
+
 def equality_frontier(
     scored: ScoredDataset,
     measure: FairnessMeasure,
@@ -162,9 +169,9 @@ def equality_frontier(
     recorded per point is the achieved disparity, which can sit well
     below the swept epsilon.
     """
-    if resolution < 2:
-        raise DataError("resolution must be >= 2")
-    uncon = enforce(scored, Unconstrained())
+    _check_resolution(resolution)
+    tables = _build_tables(scored)
+    uncon = _enforce(scored, tables, Unconstrained())
     d0 = M.disparity(uncon.metrics, measure)
     if d0 is None:
         raise DataError(
@@ -175,7 +182,7 @@ def equality_frontier(
     skipped: list[str] = []
     for eps in np.linspace(0.0, d0, resolution):
         try:
-            res = enforce(scored, Equality(measure, float(eps)))
+            res = _enforce(scored, tables, Equality(measure, float(eps)))
         except InfeasibleConstraintError as exc:
             skipped.append(f"epsilon={float(eps):.6g}: {exc}")
             continue
@@ -204,9 +211,9 @@ def mrc_frontier(
     of the statistic.  Sweep values with no feasible policy are skipped
     and noted, not silently dropped.
     """
-    if resolution < 2:
-        raise DataError("resolution must be >= 2")
-    uncon = enforce(scored, Unconstrained())
+    _check_resolution(resolution)
+    tables = _build_tables(scored)
+    uncon = _enforce(scored, tables, Unconstrained())
     vals = uncon.metrics.values(statistic)
     if any(v is None for v in vals):
         raise DataError(
@@ -218,7 +225,7 @@ def mrc_frontier(
     skipped: list[str] = []
     for tau in np.linspace(lo, 1.0, resolution):
         try:
-            res = enforce(scored, MinimumRate(statistic, float(tau)))
+            res = _enforce(scored, tables, MinimumRate(statistic, float(tau)))
         except InfeasibleConstraintError as exc:
             skipped.append(f"tau={float(tau):.6g}: {exc}")
             continue

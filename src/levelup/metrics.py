@@ -81,17 +81,13 @@ def confusion(scored, policy) -> ConfusionCounts:
             "policy groups do not match dataset groups: "
             f"{policy.group_names} vs {scored.group_names}"
         )
-    tp, fp, tn, fn = [], [], [], []
-    for gid in range(scored.n_groups):
-        rows = scored.groups == gid
-        pred = scored.scores >= policy.thresholds[gid]
-        pos = scored.labels == 1
-        tp.append(int(np.sum(rows & pred & pos)))
-        fp.append(int(np.sum(rows & pred & ~pos)))
-        tn.append(int(np.sum(rows & ~pred & ~pos)))
-        fn.append(int(np.sum(rows & ~pred & pos)))
+    k = scored.n_groups
+    pred = scored.scores >= np.asarray(policy.thresholds)[scored.groups]
+    # one cell per (group, prediction, label): columns tn, fn, fp, tp
+    cells = np.bincount(scored.groups * 4 + pred * 2 + scored.labels, minlength=4 * k)
+    tn, fn, fp, tp = (tuple(int(v) for v in col) for col in cells.reshape(k, 4).T)
     return ConfusionCounts(
-        tp=tuple(tp), fp=tuple(fp), tn=tuple(tn), fn=tuple(fn),
+        tp=tp, fp=fp, tn=tn, fn=fn,
         group_names=tuple(scored.group_names),
     )
 

@@ -227,12 +227,15 @@ def _build_tables(scored: ScoredDataset) -> list[_GroupTable]:
     tables = []
     for gid in range(scored.n_groups):
         rows = scored.group_rows(gid)
+        if len(rows) == 0:
+            raise DataError(f"group {scored.group_names[gid]!r} has no rows")
         s = scored.scores[rows]
         y = scored.labels[rows]
         order = np.argsort(s, kind="stable")
         s, y = s[order], y[order]
-        distinct, start = np.unique(s, return_index=True)
-        pos_at = np.add.reduceat(y, start) if len(s) else np.array([], dtype=np.int64)
+        start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+        distinct = s[start]
+        pos_at = np.add.reduceat(y, start)
         tot_at = np.diff(np.append(start, len(s)))
         neg_at = tot_at - pos_at
         # suffix sums: candidate k selects the distinct scores from k on
@@ -240,11 +243,11 @@ def _build_tables(scored: ScoredDataset) -> list[_GroupTable]:
         fp = np.append(np.cumsum(neg_at[::-1])[::-1], 0)
         thresholds = np.empty(len(distinct) + 1)
         thresholds[0] = 0.0
-        for k in range(1, len(distinct)):
-            a, b = distinct[k - 1], distinct[k]
-            mid = (a + b) / 2.0
-            # guard against the midpoint rounding onto the lower score
-            thresholds[k] = mid if a < mid else b
+        lower, upper, mid = distinct[:-1], distinct[1:], thresholds[1:-1]
+        np.add(lower, upper, out=mid)
+        mid /= 2.0
+        # guard against the midpoint rounding onto the lower score
+        np.copyto(mid, upper, where=~(lower < mid))
         thresholds[-1] = REJECT_ALL
         tables.append(
             _GroupTable(
@@ -558,8 +561,12 @@ def enforce(scored: ScoredDataset, constraint: Constraint) -> EnforcementResult:
     it, naming the blocking group when a per-group requirement is the
     cause.
     """
-    tables = _build_tables(scored)
+    return _enforce(scored, _build_tables(scored), constraint)
 
+
+def _enforce(scored, tables, constraint) -> EnforcementResult:
+    """enforce() on candidate tables already built from scored, so a
+    sweep builds them once."""
     if isinstance(constraint, Unconstrained):
         picks = _unconstrained_indices(tables)
         return _finish(scored, tables, picks, "unconstrained", {}, "exact-grid")
@@ -624,30 +631,27 @@ def enforce(scored: ScoredDataset, constraint: Constraint) -> EnforcementResult:
 # ---------------------------------------------------------------------------
 # levelling up
 
-def _level_single_group(table, start_idx, stat_name, target):
+def _level_single_group(vals, start_idx, target):
     """Nearest candidate (by grid distance from start) reaching the target.
 
-    Scans outward from the starting candidate, preferring the lower
-    threshold on ties.  Falls back to the best achievable value when the
+    Candidates are ranked by distance from the starting candidate, the
+    lower threshold first on equal distance.  Falls back to the first
+    candidate in that order holding the best achievable value when the
     target is unreachable; the second return flags that case.
     """
-    vals = table.stat(stat_name)
-    m = table.m
-    best_fallback = start_idx
-    for d in range(0, m):
-        for k in (start_idx - d, start_idx + d):
-            if not 0 <= k < m:
-                continue
-            v = vals[k]
-            if np.isnan(v):
-                continue
-            if v >= target - 1e-12:
-                return k, False
-            if not np.isnan(vals[best_fallback]) and v > vals[best_fallback]:
-                best_fallback = k
-            elif np.isnan(vals[best_fallback]):
-                best_fallback = k
-    return best_fallback, True
+    defined = ~np.isnan(vals)
+    if not defined.any():
+        return start_idx, True
+
+    def nearest(mask):
+        # flatnonzero is ascending, so argmin takes the lower index on ties
+        idx = np.flatnonzero(mask)
+        return int(idx[np.argmin(np.abs(idx - start_idx))])
+
+    reach = vals >= target - 1e-12  # NaN compares false
+    if reach.any():
+        return nearest(reach), False
+    return nearest(defined & (vals == np.nanmax(vals))), True
 
 
 def _check_level_up_stat(measure_or_stat, scored, tables):
@@ -706,7 +710,7 @@ def partial_level_up(
         note = "all groups already level; unconstrained policy returned"
         residual = False
     else:
-        eq = enforce(scored, Equality(measure, epsilon))
+        eq = _enforce(scored, tables, Equality(measure, epsilon))
         eq_vals = eq.metrics.values(stat)
         picks = list(uncon)
         residual = False
@@ -714,7 +718,7 @@ def partial_level_up(
             if uncon_vals[g] == top:
                 continue
             target = max(float(eq_vals[g]), uncon_vals[g])
-            picks[g], missed = _level_single_group(tables[g], uncon[g], stat, target)
+            picks[g], missed = _level_single_group(tables[g].stat(stat), uncon[g], target)
             residual = residual or missed
         picks = tuple(picks)
         note = "target level unreachable on the grid for some group" if residual else ""
@@ -745,7 +749,7 @@ def full_level_up(scored: ScoredDataset, statistic: str) -> EnforcementResult:
     for g in range(len(tables)):
         if uncon_vals[g] == target:
             continue
-        picks[g], missed = _level_single_group(tables[g], uncon[g], stat, target)
+        picks[g], missed = _level_single_group(tables[g].stat(stat), uncon[g], target)
         if missed:
             achieved = float(tables[g].stat(stat)[picks[g]])
             gaps.append(f"{scored.group_names[g]}: residual gap {target - achieved:.6g}")

@@ -35,6 +35,29 @@ def candidate_grid(scores):
     return cands
 
 
+def level_single_group(vals, start_idx, target):
+    """Scan outward from start_idx, lower index first at each distance,
+    for the first defined value reaching target - 1e-12.  When none does,
+    the first defined value in that scan order holding the largest value
+    (start_idx when every value is NaN).  Returns (index, missed)."""
+    m = len(vals)
+    best_fallback = start_idx
+    for d in range(0, m):
+        for k in (start_idx - d, start_idx + d):
+            if not 0 <= k < m:
+                continue
+            v = vals[k]
+            if np.isnan(v):
+                continue
+            if v >= target - 1e-12:
+                return k, False
+            if not np.isnan(vals[best_fallback]) and v > vals[best_fallback]:
+                best_fallback = k
+            elif np.isnan(vals[best_fallback]):
+                best_fallback = k
+    return best_fallback, True
+
+
 def tally(scores, labels, threshold):
     pred = scores >= threshold
     tp = int(np.sum(pred & (labels == 1)))

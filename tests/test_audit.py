@@ -97,6 +97,14 @@ class TestDetect:
         with pytest.raises(DataError):
             detect_levelling_down(base.metrics, dp.metrics, tolerance=-0.1)
 
+    def test_rejects_nan_tolerance(self, gap_pair):
+        base, dp = gap_pair
+        with pytest.raises(DataError, match="tolerance"):
+            detect_levelling_down(base.metrics, dp.metrics, tolerance=float("nan"))
+        with pytest.raises(DataError, match="tolerance"):
+            build_report(base.metrics, dp.metrics, {}, split="eval",
+                         tolerance=float("nan"))
+
 
 @pytest.fixture(scope="module")
 def dp_report(gap_pair):

@@ -162,6 +162,21 @@ class TestEnforce:
                      "--out", str(tmp_path / "x")]) == 3
         assert "epsilon" in capsys.readouterr().err
 
+    def test_group_without_rows_is_data_error(self, tmp_path, capsys):
+        # a one-row group goes to train in the split, so the eval rows
+        # still name it but hold none of it
+        spec = json.loads(json.dumps(SYNTH_SPEC))
+        spec["groups"].append(dict(spec["groups"][0], size=1, name="c"))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        with pytest.warns(UserWarning, match="single row"):
+            code = main(["enforce", "--synth-spec", str(path), "--enforce-on",
+                         "eval", "--iterations", "50", "--constraint", "min-rate",
+                         "--stat", "selection_rate", "--tau", "0.2",
+                         "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "group 'c' has no rows" in capsys.readouterr().err
+
     def test_two_sources_rejected(self, scores_path, spec_path, tmp_path):
         assert main(["enforce", "--scores", str(scores_path),
                      "--synth-spec", str(spec_path), "--constraint", "none",

@@ -117,6 +117,14 @@ class TestEqualityFrontier:
         with pytest.raises(DataError):
             equality_frontier(gap_scored, DP, resolution=1)
 
+    @pytest.mark.parametrize("sweep", [
+        lambda s: equality_frontier(s, DP, resolution=2.5),
+        lambda s: mrc_frontier(s, "selection_rate", resolution=2.5),
+    ], ids=["equality", "min-rate"])
+    def test_fractional_resolution_is_data_error(self, gap_scored, sweep):
+        with pytest.raises(DataError, match="resolution must be an integer"):
+            sweep(gap_scored)
+
     def test_undefined_unconstrained_disparity_raises(self):
         # group b has no negatives, so the true negative rate has no value
         s = scored_from_arrays(np.array([0.2, 0.7, 0.6, 0.8]),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from levelup import (
     ConfusionCounts,
     DataError,
@@ -46,6 +47,23 @@ class TestConfusion:
         assert counts.fp == (1, 1)
         assert counts.tn == (2, 0)
         assert counts.fn == (1, 1)
+
+    def test_matches_a_per_group_tally(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            scores = np.round(rng.random(n), 2)
+            labels = (rng.random(n) < 0.4).astype(int)
+            groups = rng.integers(0, 3, n)
+            s = scored_from_arrays(scores, labels, groups, "abc")
+            thresholds = rng.choice(np.append(s.scores, [0.0, 1.5]), 3)
+            counts = confusion(s, make_policy(thresholds.tolist(), "abc"))
+            for g in range(3):
+                rows = s.groups == g
+                tp, fp, fn, tn = oracle.tally(s.scores[rows], s.labels[rows],
+                                              thresholds[g])
+                assert (counts.tp[g], counts.fp[g], counts.fn[g], counts.tn[g]) == \
+                    (tp, fp, fn, tn)
 
     def test_group_size(self):
         counts = confusion(two_group_scored(), make_policy([0.5, 0.5], "ab"))

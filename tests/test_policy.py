@@ -18,14 +18,18 @@ from levelup import (
     candidate_thresholds,
     disparity,
     enforce,
+    equality_frontier,
     full_level_up,
     harm_profile,
+    mrc_frontier,
     partial_level_up,
     policy_from_json_dict,
     policy_to_json_dict,
     scored_from_arrays,
 )
 from conftest import random_small_scored
+from levelup import frontier as frontier_module
+from levelup import policy as policy_module
 
 DP = FairnessMeasure.DEMOGRAPHIC_PARITY
 EO = FairnessMeasure.EQUAL_OPPORTUNITY
@@ -85,6 +89,24 @@ class TestCandidateThresholds:
         assert mid > lo
         # the mid candidate separates the two rows
         assert (np.array([lo, hi]) >= mid).tolist() == [False, True]
+
+    def test_matches_loop_reference_on_adjacent_floats(self):
+        # runs of adjacent floats, where (a + b) / 2 can round onto a and
+        # the upper score itself has to be the candidate
+        rng = np.random.default_rng(3)
+        base = rng.random(60) * 0.9 + 0.05
+        runs = [base]
+        for _ in range(3):
+            runs.append(np.nextafter(runs[-1], 1.0))
+        scores = np.concatenate(runs + [rng.random(60) * 0.9 + 0.05])
+        labels = (rng.random(len(scores)) < scores).astype(int)
+        groups = rng.integers(0, 2, len(scores))
+        s = scored_from_arrays(scores, labels, groups, ("a", "b"))
+        for g in range(2):
+            own = s.scores[s.groups == g]
+            distinct = np.unique(own)
+            assert any(not a < (a + b) / 2.0 for a, b in zip(distinct, distinct[1:]))
+            assert candidate_thresholds(s, g).tolist() == oracle.candidate_grid(own)
 
 
 class TestConstraintValidation:
@@ -412,6 +434,76 @@ class TestLevellingUp:
             full_level_up(gap_scored, "fpr")
         with pytest.raises(DataError):
             partial_level_up(gap_scored, FairnessMeasure.TREATMENT_EQUALITY)
+
+
+class TestLevelSingleGroup:
+    def test_matches_the_outward_scan(self):
+        # coarse values give ties at equal distance; NaN stretches and
+        # unreachable targets exercise the fallback
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            m = int(rng.integers(1, 14))
+            vals = rng.integers(0, 5, m) / 4.0
+            if rng.random() < 0.6:
+                a = int(rng.integers(0, m))
+                vals[a:a + int(rng.integers(1, m + 1))] = np.nan
+            start = int(rng.integers(0, m))
+            target = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 1.25]))
+            target += float(rng.choice([0.0, 1e-13, -1e-13, 1e-11]))
+            assert policy_module._level_single_group(vals, start, target) == \
+                oracle.level_single_group(vals, start, target)
+
+
+class TestEmptyGroup:
+    """A named group without rows is a DataError that names it."""
+
+    @pytest.mark.parametrize("run", [
+        lambda s: enforce(s, Unconstrained()),
+        lambda s: enforce(s, MinimumRate("selection_rate", 0.3)),
+        lambda s: enforce(s, MaximumRate(0.5)),
+        lambda s: enforce(s, Equality(DP, 0.1)),
+        lambda s: partial_level_up(s, DP),
+        lambda s: full_level_up(s, "tpr"),
+        lambda s: equality_frontier(s, DP, 5),
+        lambda s: mrc_frontier(s, "selection_rate", 5),
+    ], ids=["unconstrained", "min-rate", "max-rate", "equality", "partial",
+            "full", "equality-frontier", "mrc-frontier"])
+    def test_named_group_without_rows(self, run):
+        s = scored_from_arrays([0.2, 0.7, 0.4, 0.9], [0, 1, 0, 1], [0, 0, 1, 1],
+                               ["a", "b", "c"])
+        with pytest.raises(DataError, match="group 'c' has no rows"):
+            run(s)
+
+
+class TestTableReuse:
+    """A sweep, and a partial level-up with its inner Equality, build the
+    candidate tables once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = policy_module._build_tables
+
+        def counted(scored):
+            calls.append(scored)
+            return build(scored)
+
+        monkeypatch.setattr(policy_module, "_build_tables", counted)
+        monkeypatch.setattr(frontier_module, "_build_tables", counted)
+        return calls
+
+    def test_equality_frontier(self, builds, gap_scored):
+        equality_frontier(gap_scored, DP, resolution=6)
+        assert len(builds) == 1
+
+    def test_mrc_frontier(self, builds, gap_scored):
+        mrc_frontier(gap_scored, "tpr", resolution=6)
+        assert len(builds) == 1
+
+    def test_partial_level_up(self, builds, gap_scored):
+        part = partial_level_up(gap_scored, DP, epsilon=0.01)
+        assert "already level" not in part.policy.provenance.note
+        assert len(builds) == 1
 
 
 class TestSerialization:
