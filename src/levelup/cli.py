@@ -346,8 +346,9 @@ def _cmd_train(cfg: dict, outdir: Path) -> list[str]:
 def _cmd_enforce(cfg: dict, outdir: Path) -> list[str]:
     constraint = _build_constraint(cfg)
     scored, split_label = _resolve_scored(cfg)
-    result = P.enforce(scored, constraint)
-    baseline = P.enforce(scored, P.Unconstrained())
+    tables = P._build_tables(scored)
+    result = P._enforce(scored, tables, constraint)
+    baseline = P._enforce(scored, tables, P.Unconstrained())
     prov = result.policy.provenance
     report = A.build_report(
         baseline.metrics,

@@ -12,6 +12,9 @@ A scored dataset can also be supplied directly as a CSV of
 from __future__ import annotations
 
 import csv
+import io
+import itertools
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -276,23 +279,129 @@ def calibration_table(
     return tables
 
 
+# Rows per block of score-CSV I/O: large enough that the per-block
+# overhead vanishes, small enough that a block's text stays a few MB.
+_BLOCK_ROWS = 16384
+
+
+def _record_tail(label: str, name: str) -> str:
+    """The text csv.writer puts after the score cell of a record."""
+    out = io.StringIO()
+    csv.writer(out).writerow(["", label, name])
+    return out.getvalue()
+
+
 def write_scores_csv(scored: ScoredDataset, path: str | Path) -> None:
-    """Write rows as score,label,group with a header."""
+    """Write rows as a score,label,group CSV.
+
+    The file is UTF-8: the header ``score,label,group``, then one record
+    per row in row order, every record (the header too) ended by CRLF.
+    The score cell is ``repr`` of the score as a Python float, so it
+    reads back to the same float; the label is ``0`` or ``1``; the group
+    is its name, quoted by the csv module where it needs quoting (a
+    comma, a quote or a line break).  ``read_scores_csv`` reads the same
+    scores and labels back; it strips group names and numbers groups in
+    the order they first appear, so a group with no rows is not named.
+    """
+    # Each record is repr(score) followed by one of 2 * n_groups tails,
+    # made once by csv.writer, and a block of records is written at once.
+    tails = np.array(
+        [_record_tail(label, name) for name in scored.group_names for label in "01"],
+        dtype=object,
+    )
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["score", "label", "group"])
-        for i in range(scored.n_rows):
-            writer.writerow(
-                [
-                    repr(float(scored.scores[i])),
-                    str(int(scored.labels[i])),
-                    scored.group_names[scored.groups[i]],
-                ]
+        csv.writer(handle).writerow(["score", "label", "group"])
+        for a in range(0, scored.n_rows, _BLOCK_ROWS):
+            b = a + _BLOCK_ROWS
+            block_tails = tails[scored.groups[a:b] * 2 + scored.labels[a:b]].tolist()
+            handle.write(
+                "".join(map(operator.add, map(repr, scored.scores[a:b].tolist()), block_tails))
             )
 
 
+class _LabelCells(dict):
+    """Raw label cell -> 0 or 1, or -1 for a cell that is neither."""
+
+    def __missing__(self, cell: str) -> int:
+        stripped = cell.strip()
+        label = int(stripped) if stripped in ("0", "1") else -1
+        self[cell] = label
+        return label
+
+
+class _GroupCells(dict):
+    """Raw group cell -> group id, or -1 for a blank cell.  Ids follow the
+    order in which the stripped names first appear; ``names`` holds it."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: dict[str, int] = {}
+
+    def __missing__(self, cell: str) -> int:
+        name = cell.strip()
+        gid = self.names.setdefault(name, len(self.names)) if name else -1
+        self[cell] = gid
+        return gid
+
+
+def _parse_block(block: list[list[str]], labels_of: _LabelCells, groups_of: _GroupCells):
+    """Column-wise parse of one block of records: (scores, labels, groups)
+    arrays, or None when a check fails somewhere in the block."""
+    rows = list(filter(None, block))  # blank records are skipped
+    if not rows:
+        return np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64)
+    if set(map(len, rows)) != {3}:
+        return None
+    n = len(rows)
+    score_cells, label_cells, group_cells = (map(operator.itemgetter(k), rows) for k in range(3))
+    try:
+        scores = np.fromiter(map(float, score_cells), np.float64, n)
+    except ValueError:
+        return None
+    labels = np.fromiter(map(labels_of.__getitem__, label_cells), np.int64, n)
+    groups = np.fromiter(map(groups_of.__getitem__, group_cells), np.int64, n)
+    ok = np.all((scores >= 0.0) & (scores <= 1.0)) and labels.min() >= 0 and groups.min() >= 0
+    return (scores, labels, groups) if ok else None
+
+
+def _check_rows(block: list[list[str]], first_rownum: int) -> None:
+    """Every check on every record of a block in file order: raises the
+    located DataError of the first bad record, if there is one."""
+    for rownum, row in enumerate(block, start=first_rownum):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DataError("expected 3 cells", row=rownum)
+        try:
+            s = float(row[0])
+        except ValueError:
+            raise DataError("unparseable score", row=rownum, column="score") from None
+        if not 0.0 <= s <= 1.0:
+            raise DataError("score outside [0, 1]", row=rownum, column="score")
+        if row[1].strip() not in ("0", "1"):
+            raise DataError("label must be 0 or 1", row=rownum, column="label")
+        if row[2].strip() == "":
+            raise DataError("missing value", row=rownum, column="group")
+
+
 def read_scores_csv(path: str | Path) -> ScoredDataset:
-    """Read a score,label,group CSV written by this package or elsewhere."""
+    """Read a score,label,group CSV written by this package or elsewhere.
+
+    The file is UTF-8, parsed by the csv module's default dialect, so
+    cells may be quoted and records may end in LF or CRLF.  The first
+    record is the header ``score,label,group`` (each name stripped of
+    surrounding whitespace).  Blank records are skipped.  Every other
+    record has three cells:
+
+    - score: anything ``float`` parses, whitespace included, in [0, 1];
+    - label: ``0`` or ``1`` once stripped;
+    - group: a name, stripped, not empty.
+
+    Group ids follow the order in which names first appear.  Scores are
+    clamped as by ``scored_from_arrays``.  The first bad record in file
+    order raises a DataError with its row (records counted from 1 for the
+    header, blank ones included) and, for a bad cell, its column.
+    """
     path = Path(path)
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -307,31 +416,28 @@ def read_scores_csv(path: str | Path) -> ScoredDataset:
         expected = ["score", "label", "group"]
         if [h.strip() for h in header] != expected:
             raise DataError(f"score CSV header must be {','.join(expected)}")
-        scores, labels, groups = [], [], []
-        names: list[str] = []
-        ids: dict[str, int] = {}
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError("expected 3 cells", row=rownum)
+        labels_of, groups_of = _LabelCells(), _GroupCells()
+        parts = []
+        rownum = 2
+        while True:
+            block, failure = [], None
             try:
-                s = float(row[0])
-            except ValueError:
-                raise DataError("unparseable score", row=rownum, column="score") from None
-            if not 0.0 <= s <= 1.0:
-                raise DataError("score outside [0, 1]", row=rownum, column="score")
-            if row[1].strip() not in ("0", "1"):
-                raise DataError("label must be 0 or 1", row=rownum, column="label")
-            g = row[2].strip()
-            if g == "":
-                raise DataError("missing value", row=rownum, column="group")
-            if g not in ids:
-                ids[g] = len(names)
-                names.append(g)
-            scores.append(s)
-            labels.append(int(row[1]))
-            groups.append(ids[g])
-    if not scores:
+                block.extend(itertools.islice(reader, _BLOCK_ROWS))
+            except (csv.Error, ValueError) as exc:
+                # A parse or decode error is raised only once the records
+                # read before it have passed their checks.
+                failure = exc
+            part = _parse_block(block, labels_of, groups_of)
+            if part is None:
+                _check_rows(block, rownum)
+                raise RuntimeError("a score CSV block failed a column check but no row check")
+            if failure is not None:
+                raise failure
+            if not block:
+                break
+            parts.append(part)
+            rownum += len(block)
+    if not any(len(scores) for scores, _, _ in parts):
         raise DataError(f"{path} has a header but no data rows")
-    return scored_from_arrays(scores, labels, groups, names)
+    scores, labels, groups = (np.concatenate(cols) for cols in zip(*parts))
+    return scored_from_arrays(scores, labels, groups, tuple(groups_of.names))

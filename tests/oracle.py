@@ -5,11 +5,20 @@ enumeration.  None of it calls into the package's search code, so an
 agreement test compares two genuinely independent implementations.
 """
 
+import csv
 import itertools
+from pathlib import Path
 
 import numpy as np
 
-from levelup import Equality, MaximumRate, MinimumRate, Unconstrained
+from levelup import (
+    DataError,
+    Equality,
+    MaximumRate,
+    MinimumRate,
+    Unconstrained,
+    scored_from_arrays,
+)
 
 REJECT_ALL = 1.5
 
@@ -204,3 +213,65 @@ def brute_force_pareto(accuracy, objective, direction="min"):
         if not dominated:
             keep.append(i)
     return keep
+
+
+def write_scores_csv(scored, path):
+    """Row-at-a-time score CSV writer: one csv.writer call per row."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["score", "label", "group"])
+        for i in range(scored.n_rows):
+            writer.writerow(
+                [
+                    repr(float(scored.scores[i])),
+                    str(int(scored.labels[i])),
+                    scored.group_names[scored.groups[i]],
+                ]
+            )
+
+
+def read_scores_csv(path):
+    """Row-at-a-time score CSV reader: every check made on every row, in
+    file order, so the first bad row raises."""
+    path = Path(path)
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path} has no header row") from None
+        expected = ["score", "label", "group"]
+        if [h.strip() for h in header] != expected:
+            raise DataError(f"score CSV header must be {','.join(expected)}")
+        scores, labels, groups = [], [], []
+        names = []
+        ids = {}
+        for rownum, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise DataError("expected 3 cells", row=rownum)
+            try:
+                s = float(row[0])
+            except ValueError:
+                raise DataError("unparseable score", row=rownum, column="score") from None
+            if not 0.0 <= s <= 1.0:
+                raise DataError("score outside [0, 1]", row=rownum, column="score")
+            if row[1].strip() not in ("0", "1"):
+                raise DataError("label must be 0 or 1", row=rownum, column="label")
+            g = row[2].strip()
+            if g == "":
+                raise DataError("missing value", row=rownum, column="group")
+            if g not in ids:
+                ids[g] = len(names)
+                names.append(g)
+            scores.append(s)
+            labels.append(int(row[1]))
+            groups.append(ids[g])
+    if not scores:
+        raise DataError(f"{path} has a header but no data rows")
+    return scored_from_arrays(scores, labels, groups, names)

@@ -12,6 +12,7 @@ from levelup import (
     scored_from_arrays,
     write_scores_csv,
 )
+from levelup import policy as policy_module
 from levelup.cli import main
 
 SYNTH_SPEC = {
@@ -146,6 +147,21 @@ class TestEnforce:
         assert main(args + ["--out", str(out2)]) == 0
         for name in ("policy.json", "metrics.json", "audit.json", "audit.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_builds_candidate_tables_once(self, scores_path, tmp_path,
+                                          monkeypatch):
+        # the constraint and its Unconstrained baseline share one build
+        calls = []
+        build = policy_module._build_tables
+
+        def counted(scored):
+            calls.append(scored)
+            return build(scored)
+
+        monkeypatch.setattr(policy_module, "_build_tables", counted)
+        assert main(["enforce", "--scores", str(scores_path), "--constraint",
+                     "dp", "--epsilon", "0.02", "--out", str(tmp_path / "x")]) == 0
+        assert len(calls) == 1
 
     def test_constraint_required(self, scores_path, tmp_path):
         assert main(["enforce", "--scores", str(scores_path),

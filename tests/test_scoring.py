@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+import oracle
 from levelup import (
     DataError,
     FitError,
@@ -13,6 +16,7 @@ from levelup import (
     scored_from_arrays,
     write_scores_csv,
 )
+from levelup import scoring as scoring_module
 from levelup.scoring import loss_and_gradient
 
 
@@ -180,3 +184,208 @@ class TestScoresCsv:
         path.write_text("score,label,group\n1.5,1,a\n0.5,0,b\n")
         with pytest.raises(DataError):
             read_scores_csv(path)
+
+
+def _write_text(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _read_outcome(read, path):
+    """What a reader makes of a file: its arrays and names, or its error."""
+    try:
+        scored = read(path)
+    except DataError as exc:
+        return ("error", str(exc), exc.row, exc.column)
+    except csv.Error as exc:
+        return ("csv error", str(exc))
+    return ("ok", scored.scores.tobytes(), scored.labels.tolist(),
+            scored.groups.tolist(), scored.group_names)
+
+
+class TestScoresCsvErrors:
+    """Each kind of bad record raises a DataError located at its row."""
+
+    def _error(self, tmp_path, body):
+        path = tmp_path / "scores.csv"
+        _write_text(path, "score,label,group\n" + body)
+        with pytest.raises(DataError) as info:
+            read_scores_csv(path)
+        return info.value
+
+    @pytest.mark.parametrize("row, message, column", [
+        ("0.5,1", "expected 3 cells", None),
+        ("0.5,1,a,x", "expected 3 cells", None),
+        ("0.5x,1,a", "unparseable score", "score"),
+        (",1,a", "unparseable score", "score"),
+        ("1.5,1,a", "score outside [0, 1]", "score"),
+        ("-0.1,1,a", "score outside [0, 1]", "score"),
+        ("nan,1,a", "score outside [0, 1]", "score"),
+        ("inf,1,a", "score outside [0, 1]", "score"),
+        ("-inf,1,a", "score outside [0, 1]", "score"),
+        ("0.5,2,a", "label must be 0 or 1", "label"),
+        ("0.5,,a", "label must be 0 or 1", "label"),
+        ("0.5,01,a", "label must be 0 or 1", "label"),
+        ("0.5,1,", "missing value", "group"),
+        ("0.5,1,  ", "missing value", "group"),
+    ])
+    def test_located_error(self, tmp_path, row, message, column):
+        err = self._error(tmp_path, f"0.25,0,a\n0.75,1,b\n{row}\n0.5,1,b\n")
+        assert (err.row, err.column) == (4, column)
+        where = "row 4" if column is None else f"row 4, column {column!r}"
+        assert str(err) == f"{message} ({where})"
+
+    def test_blank_records_count_in_row_numbers(self, tmp_path):
+        err = self._error(tmp_path, "0.25,0,a\n\n\r\n0.75,1,b\n0.5,7,a\n")
+        assert (err.row, err.column) == (6, "label")
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # a later row fails an earlier check; the earlier row still wins
+        err = self._error(tmp_path, "0.25,0,a\n0.5,1, \n2.0,1,b\n0.5,1\n")
+        assert (err.row, err.column) == (3, "group")
+
+    @pytest.mark.parametrize("bad_row", [16385, 16386, 16387, 20000])
+    def test_bad_row_at_and_beyond_the_first_block(self, tmp_path, bad_row):
+        # records 2..16385 fill the first block of 16384
+        assert scoring_module._BLOCK_ROWS == 16384
+        good = ["0.25,0,a", "0.75,1,b"] * 10_000
+        good[bad_row - 2] = "0.5,1,"
+        err = self._error(tmp_path, "\n".join(good) + "\n")
+        assert (err.row, err.column) == (bad_row, "group")
+        assert str(err) == f"missing value (row {bad_row}, column 'group')"
+
+    def test_bad_row_before_a_csv_parse_error(self, tmp_path):
+        # the csv module fails on the oversized field only after the bad
+        # row, so the bad row is reported, as it is row by row
+        huge = "x" * (csv.field_size_limit() + 1)
+        err = self._error(tmp_path, f"0.25,0,a\n0.5,3,b\n0.5,1,{huge}\n")
+        assert (err.row, err.column) == (3, "label")
+
+    def test_bad_row_before_a_decode_error(self, tmp_path):
+        # the undecodable byte lies past the first chunk of text decoded
+        path = tmp_path / "scores.csv"
+        good = b"0.25,0,a\n" * 5000
+        path.write_bytes(b"score,label,group\n0.5,1,b\n0.5,1\n" + good + b"0.5,1,\xff\n")
+        with pytest.raises(DataError) as info:
+            read_scores_csv(path)
+        assert (info.value.row, info.value.column) == (3, None)
+        path.write_bytes(b"score,label,group\n" + good + b"0.5,1,\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            read_scores_csv(path)
+
+    def test_csv_parse_error_passes_through(self, tmp_path):
+        huge = "x" * (csv.field_size_limit() + 1)
+        path = tmp_path / "scores.csv"
+        _write_text(path, f"score,label,group\n0.25,0,a\n0.5,1,{huge}\n")
+        with pytest.raises(csv.Error):
+            read_scores_csv(path)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\n"])
+    def test_header_only(self, tmp_path, body):
+        path = tmp_path / "scores.csv"
+        _write_text(path, "score,label,group\n" + body)
+        with pytest.raises(DataError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == f"{path} has a header but no data rows"
+        assert (info.value.row, info.value.column) == (None, None)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        _write_text(path, "")
+        with pytest.raises(DataError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == f"{path} has no header row"
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "nope.csv"
+        with pytest.raises(DataError) as info:
+            read_scores_csv(path)
+        assert str(info.value) == f"cannot open {path}: No such file or directory"
+        assert (info.value.row, info.value.column) == (None, None)
+
+
+# Group names that need quoting, or that strip to the same name.
+_NAMES = ["a", "b", "g,1", 'say "hi"', " lead", "trail ", "two\nlines",
+          "cr\rname", "\u00fcml\u00e4ut", "a b"]
+
+
+class TestScoresCsvAgainstOracle:
+    """The block reader and writer against row-at-a-time oracles."""
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 16384])
+    def test_writer_bytes(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(scoring_module, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(block_rows)
+        special = np.array([0.0, 1.0, 1e-12, 1.0 - 1e-12, 1e-5, 2.5e-7,
+                            1.5e-300, 0.1, 0.5, 0.9999999999999999])
+        for trial in range(40):
+            n = int(rng.integers(1, 60)) if trial else 1
+            k = int(rng.integers(2, len(_NAMES) + 1))
+            names = tuple(map(str, rng.permutation(_NAMES)[:k]))
+            scores = np.where(rng.random(n) < 0.3, rng.choice(special, n),
+                              rng.random(n) ** rng.integers(1, 40))
+            scored = scored_from_arrays(scores, rng.integers(0, 2, n),
+                                        rng.integers(0, k, n), names)
+            mine, theirs = tmp_path / "mine.csv", tmp_path / "theirs.csv"
+            write_scores_csv(scored, mine)
+            oracle.write_scores_csv(scored, theirs)
+            assert mine.read_bytes() == theirs.read_bytes()
+
+    def test_writer_bytes_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 2 * scoring_module._BLOCK_ROWS + 17
+        scored = scored_from_arrays(rng.random(n) ** 9, rng.integers(0, 2, n),
+                                    rng.integers(0, 4, n), _NAMES[2:6])
+        mine, theirs = tmp_path / "mine.csv", tmp_path / "theirs.csv"
+        write_scores_csv(scored, mine)
+        oracle.write_scores_csv(scored, theirs)
+        assert mine.read_bytes() == theirs.read_bytes()
+
+    @staticmethod
+    def _random_record(rng):
+        score = rng.choice([repr(float(rng.random())), "0", "1", "1.0",
+                            " 0.25 ", "5e-3", "0.5\t", "1e-12"])
+        label = rng.choice(["0", "1", " 1", "0 ", "\t1", '" 1"'])
+        name = str(rng.choice(_NAMES + ["  a", "b  "]))
+        if rng.random() < 0.5 or any(c in name for c in ',"\r\n'):
+            name = '"' + name.replace('"', '""') + '"'
+        return f"{score},{label},{name}"
+
+    _BAD_RECORDS = ["0.5,1", "0.5,1,a,b", "x,1,a", "nan,0,a", "1.01,0,a",
+                    "-0.5,1,a", "0.5,2,a", "0.5,,b", "0.5,1,", '0.5,1," "',
+                    " ", "0.5,0x1,a"]
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 5, 16384])
+    def test_reader_matches_oracle(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(scoring_module, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(100 + block_rows)
+        path = tmp_path / "scores.csv"
+        outcomes = set()
+        for trial in range(150):
+            records = []
+            for _ in range(int(rng.integers(0, 25))):
+                records.append("" if rng.random() < 0.1 else self._random_record(rng))
+            if records and rng.random() < 0.4:
+                at = int(rng.integers(0, len(records)))
+                records[at] = rng.choice(self._BAD_RECORDS)
+            newline = rng.choice(["\n", "\r\n"])
+            text = newline.join([" score , label,group "] + records)
+            if rng.random() < 0.7:
+                text += newline
+            _write_text(path, text)
+            mine = _read_outcome(read_scores_csv, path)
+            assert mine == _read_outcome(oracle.read_scores_csv, path)
+            outcomes.add(mine[0])
+        assert outcomes == {"ok", "error"}
+
+    def test_reader_group_order_across_blocks(self, tmp_path):
+        # a new group first appears in each of the three blocks
+        n = scoring_module._BLOCK_ROWS
+        records = ["0.5,1,b"] * n + ["0.25,0, c"] * 5 + ["0.5,1,a"] * (n - 5)
+        records += ['0.75,1,"d,e"', "0.125,0,c "]
+        path = tmp_path / "scores.csv"
+        _write_text(path, "score,label,group\r\n" + "\r\n".join(records) + "\r\n")
+        mine = read_scores_csv(path)
+        assert mine.group_names == ("b", "c", "a", "d,e")
+        assert _read_outcome(read_scores_csv, path) == _read_outcome(
+            oracle.read_scores_csv, path)
