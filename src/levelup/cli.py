@@ -131,13 +131,7 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
 def _resolve_config(args: argparse.Namespace, needed: tuple[str, ...]) -> dict:
     cfg = {k: _DEFAULTS[k] for k in needed}
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                loaded = json.load(handle)
-        except OSError as exc:
-            raise DataError(f"cannot open config {args.config}: {exc.strerror}")
-        except json.JSONDecodeError as exc:
-            raise DataError(f"config {args.config} is not valid JSON: {exc}")
+        loaded = _load_json(args.config, "config")
         if not isinstance(loaded, dict):
             raise UsageError("config must be a flat JSON object")
         for key, value in loaded.items():
@@ -178,14 +172,20 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, outputs: list[str]) -
         handle.write("\n")
 
 
-def _load_synth_spec(path: str) -> SynthSpec:
+def _load_json(path, what: str):
+    """The parsed JSON file; a DataError naming it when it cannot be read
+    or is not JSON."""
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise DataError(f"cannot open synth spec {path}: {exc.strerror}")
+        raise DataError(f"cannot open {what} {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise DataError(f"synth spec {path} is not valid JSON: {exc}")
+        raise DataError(f"{what} {path} is not valid JSON: {exc}")
+
+
+def _load_synth_spec(path: str) -> SynthSpec:
+    raw = _load_json(path, "synth spec")
     try:
         groups = tuple(
             GroupSpec(
@@ -397,11 +397,10 @@ def _cmd_audit(cfg: dict, outdir: Path) -> list[str]:
     if not cfg.get("policy"):
         raise UsageError("audit needs --policy")
     scored = S.read_scores_csv(cfg["scores"])
-    with open(cfg["policy"], encoding="utf-8") as handle:
-        policy = P.policy_from_json_dict(json.load(handle))
+    policy = P.policy_from_json_dict(_load_json(cfg["policy"], "policy"))
     if cfg.get("baseline_policy"):
-        with open(cfg["baseline_policy"], encoding="utf-8") as handle:
-            base_policy = P.policy_from_json_dict(json.load(handle))
+        base_policy = P.policy_from_json_dict(
+            _load_json(cfg["baseline_policy"], "baseline policy"))
         baseline = M.group_metrics(M.confusion(scored, base_policy))
         base_desc = {"kind": "policy", "path": str(cfg["baseline_policy"])}
     else:

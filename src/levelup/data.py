@@ -9,6 +9,7 @@ display names live in ``group_names``.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,6 +47,23 @@ class DataError(ValueError):
         super().__init__(message)
         self.row = row
         self.column = column
+
+
+def _parse_json_object(text: str, where: str, what: str, parse):
+    """parse() of the JSON object in text; a DataError located at where
+    when text is not JSON or not the object parse() expects."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: {what} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{where}: {what} is not a JSON object")
+    try:
+        return parse(payload)
+    except KeyError as exc:
+        raise DataError(f"{where}: {what} has no key {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise DataError(f"{where}: malformed {what}: {exc}") from exc
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

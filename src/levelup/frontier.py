@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as M
-from .data import DataError
-from .metrics import FairnessMeasure, tracked_statistics
+from .data import DataError, _parse_json_object
+from .metrics import FairnessMeasure
 from .policy import (
     Equality,
     EnforcementResult,
@@ -30,6 +30,7 @@ from .policy import (
     MinimumRate,
     ThresholdPolicy,
     Unconstrained,
+    _EqualitySearch,
     _build_tables,
     _enforce,
     policy_from_json_dict,
@@ -168,6 +169,15 @@ def equality_frontier(
     unconstrained policy itself is added before pruning.  The objective
     recorded per point is the achieved disparity, which can sit well
     below the swept epsilon.
+
+    The points are searched from the unconstrained disparity down to 0.
+    Feasible sets are nested (a policy feasible at some epsilon is
+    feasible at every larger one), so a point whose predecessor's policy
+    still satisfies its epsilon takes that policy without a search, and
+    once one point is infeasible every tighter point is too, with the
+    same minimum achievable disparity.  The points and the skipped
+    messages, in their order, equal those of a fresh
+    enforce(Equality(measure, eps)) at each epsilon in ascending order.
     """
     _check_resolution(resolution)
     tables = _build_tables(scored)
@@ -178,25 +188,29 @@ def equality_frontier(
             f"disparity of {measure.value} is undefined under the "
             "unconstrained policy; no frontier exists"
         )
-    raw: list[FrontierPoint] = [_point(uncon, d0, None)]
+    search = _EqualitySearch(scored, tables, Equality(measure, d0))
+    raw: list[FrontierPoint] = []
     skipped: list[str] = []
-    for eps in np.linspace(0.0, d0, resolution):
+    for eps in np.linspace(0.0, d0, resolution)[::-1]:
+        eps = float(eps)
         try:
-            res = _enforce(scored, tables, Equality(measure, float(eps)))
+            res = search.enforce(eps)
         except InfeasibleConstraintError as exc:
-            skipped.append(f"epsilon={float(eps):.6g}: {exc}")
+            skipped.append(f"epsilon={eps:.6g}: {exc}")
             continue
         d = M.disparity(res.metrics, measure)
         if d is None or d > eps + 1e-12:
-            raise RuntimeError(f"policy at epsilon={float(eps)!r} has disparity {d!r}")
-        raw.append(_point(res, d, float(eps)))
-    pts = pareto_prune(_dedup(raw), "min")
+            raise RuntimeError(f"policy at epsilon={eps!r} has disparity {d!r}")
+        raw.append(_point(res, d, eps))
+    # back to ascending epsilon: _dedup keeps the first of equal points
+    raw.append(_point(uncon, d0, None))
+    pts = pareto_prune(_dedup(raw[::-1]), "min")
     return FrontierResult(
         points=tuple(pts),
         objective=f"disparity:{measure.value}",
         objective_direction="min",
         perfectly_fair_point_exists=any(p.objective_value == 0.0 for p in pts),
-        skipped=tuple(skipped),
+        skipped=tuple(skipped[::-1]),
     )
 
 
@@ -271,30 +285,39 @@ def frontier_to_jsonl(result: FrontierResult, path: str | Path) -> None:
             handle.write(json.dumps(_point_to_dict(p)) + "\n")
 
 
-def frontier_from_jsonl(path: str | Path) -> FrontierResult:
-    with open(path, encoding="utf-8") as handle:
-        lines = [json.loads(line) for line in handle if line.strip()]
-    if not lines:
-        raise DataError(f"{path} is empty")
-    header, rows = lines[0], lines[1:]
-    points = []
-    for row in rows:
-        points.append(
-            FrontierPoint(
-                policy=policy_from_json_dict(row["policy"]),
-                accuracy=row["accuracy"],
-                objective_value=row["objective_value"],
-                constraint_value=row["constraint_value"],
-                per_group=M.metrics_from_json_dict(row["per_group"]),
-            )
-        )
-    return FrontierResult(
-        points=tuple(points),
+def _point_from_dict(row: dict) -> FrontierPoint:
+    return FrontierPoint(
+        policy=policy_from_json_dict(row["policy"]),
+        accuracy=row["accuracy"],
+        objective_value=row["objective_value"],
+        constraint_value=row["constraint_value"],
+        per_group=M.metrics_from_json_dict(row["per_group"]),
+    )
+
+
+def _header_from_dict(header: dict) -> dict:
+    return dict(
         objective=header["objective"],
         objective_direction=header["objective_direction"],
         perfectly_fair_point_exists=header["perfectly_fair_point_exists"],
         skipped=tuple(header["skipped"]),
     )
+
+
+def frontier_from_jsonl(path: str | Path) -> FrontierResult:
+    """Inverse of frontier_to_jsonl.  Blank lines are ignored; a malformed
+    line is a DataError naming it."""
+    with open(path, encoding="utf-8") as handle:
+        lines = [(k, line) for k, line in enumerate(handle, start=1) if line.strip()]
+    if not lines:
+        raise DataError(f"{path} is empty")
+    (k, first), rest = lines[0], lines[1:]
+    header = _parse_json_object(first, f"{path} line {k}", "frontier header", _header_from_dict)
+    points = tuple(
+        _parse_json_object(line, f"{path} line {k}", "frontier point", _point_from_dict)
+        for k, line in rest
+    )
+    return FrontierResult(points=points, **header)
 
 
 def frontier_to_tsv(result: FrontierResult, path: str | Path) -> None:

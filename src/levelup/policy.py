@@ -30,6 +30,7 @@ and the audit module exists to expose it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -362,21 +363,25 @@ def _windows(values, anchors, eps):
 
 
 def _anchor_pass(members, eps):
-    """First-statistic windows of every group at every anchor, the groups'
-    window maxima, and each anchor's total (-1 when a window is empty)."""
+    """The anchors, the first-statistic windows of every group at every
+    anchor, the groups' window maxima, and each anchor's total (-1 when a
+    window is empty)."""
     anchors = np.unique(np.concatenate([mb.stats[0] for mb in members]))
     L, R = zip(*(_windows(mb.stats[0], anchors, eps) for mb in members))
     best = np.stack([mb.window_max(lo, hi) for mb, lo, hi in zip(members, L, R)])
-    return L, R, best, np.where((best >= 0).all(axis=0), best.sum(axis=0), -1)
+    return anchors, L, R, best, np.where((best >= 0).all(axis=0), best.sum(axis=0), -1)
 
 
-def _window_search(members, eps):
+def _window_search(members, eps, caps=None):
     """Best total correct over feasible combinations, and every combination
     reaching it as candidate indices (F, G); (-1, None) when none is feasible.
+
+    caps, for two statistics, maps first-statistic anchors to upper bounds
+    of their best total (see _box_scan).
     """
     if len(members[0].stats) == 2:
-        return _box_search(members, eps)
-    L, R, best, total = _anchor_pass(members, eps)
+        return _box_search(members, eps, caps)
+    _, L, R, best, total = _anchor_pass(members, eps)
     top = int(total.max())
     if top < 0:
         return -1, None
@@ -402,7 +407,7 @@ def _window_search(members, eps):
     return top, np.unique(np.concatenate(combos), axis=0)
 
 
-def _box_search(members, eps):
+def _box_search(members, eps, caps=None):
     """Two statistics: find the best, then collect the finalists among the
     members that can still reach it.
 
@@ -413,23 +418,29 @@ def _box_search(members, eps):
     members = _prune(members, eps)
     if members is None:
         return -1, None
-    top, _ = _box_scan(members, eps, ties=False)
+    top, _ = _box_scan(members, eps, False, caps)
     if top < 0:
         return -1, None
     slack = sum(int(mb.correct.max()) for mb in members) - top
     return _box_scan([mb.subset(mb.correct >= mb.correct.max() - slack)
-                      for mb in members], eps, ties=True)
+                      for mb in members], eps, True, caps)
 
 
-def _box_scan(members, eps, ties):
+def _box_scan(members, eps, ties, caps=None):
     """For each first-statistic anchor, the one-statistic search on the
     second statistic over the anchor's windows.
 
     The first-statistic pass caps each anchor's total, so anchors are
     visited best bound first until the bound falls below the best exact
-    total found (or reaches it, when ties are not wanted).
+    total found (or reaches it, when ties are not wanted).  caps, when
+    given, maps anchors to their best totals found at an epsilon at least
+    this large over at least these members; no total here exceeds them,
+    so they tighten the bounds.  A pass without ties records its exact
+    totals in caps.
     """
-    L, R, _, bound = _anchor_pass(members, eps)
+    anchors, L, R, _, bound = _anchor_pass(members, eps)
+    if caps:
+        bound = np.minimum(bound, [caps.get(a, b) for a, b in zip(anchors.tolist(), bound.tolist())])
     top, found = -1, []
     for a in np.argsort(-bound, kind="stable"):
         if bound[a] < max(top + (not ties), 0):
@@ -440,6 +451,8 @@ def _box_scan(members, eps, ties):
             span = span[np.argsort(mb.stats[1, span], kind="stable")]
             window.append(_Members(mb.idx[span], mb.stats[1:, span], mb.correct[span]))
         best, finalists = _window_search(window, eps)
+        if caps is not None and not ties:
+            caps[float(anchors[a])] = best
         if best > top:
             top, found = best, []
         if best == top >= 0:
@@ -609,23 +622,74 @@ def _enforce(scored, tables, constraint) -> EnforcementResult:
         return _finish(scored, tables, picks, kind, params, "exact-grid")
 
     if isinstance(constraint, Equality):
-        names, eps = tracked_statistics(constraint.measure), constraint.epsilon
-        members = _members(tables, names)
-        if any(len(mb.idx) == 0 for mb in members):
+        return _EqualitySearch(scored, tables, constraint).enforce(constraint.epsilon)
+
+    raise DataError(f"unknown constraint {constraint!r}")
+
+
+class _EqualitySearch:
+    """Equality for one measure on fixed candidate tables, at any epsilon.
+
+    The members are built once and the minimum disparity at most once, so
+    a sweep over epsilon pays for neither at every point.  Feasible sets
+    are nested: a combination feasible at some epsilon is feasible at
+    every larger one.  So, at an epsilon smaller than earlier ones:
+
+    - below the minimum disparity it is infeasible, without a search;
+    - picks found at a larger epsilon that still satisfy it are its
+      answer: its accuracy-tied finalists are a subset of the larger
+      epsilon's that still holds the picks, and the tie-break put them
+      first among all of those;
+    - a two-statistic anchor's best total found at a larger epsilon caps
+      its total (see _box_scan).
+
+    Picks and caps are used only at epsilons no larger than the ones they
+    were found at, so calls in any order return what enforce() returns.
+    """
+
+    def __init__(self, scored, tables, constraint: Equality):
+        self.scored, self.tables, self.measure = scored, tables, constraint.measure
+        self.names = tracked_statistics(constraint.measure)
+        self.members = _members(tables, self.names)
+        if any(len(mb.idx) == 0 for mb in self.members):
             raise InfeasibleConstraintError(
                 "tracked statistic is undefined for every candidate policy"
             )
-        top, finalists = _window_search(members, eps)
-        if top < 0:
-            raise InfeasibleConstraintError(
-                f"no candidate policy reaches disparity <= {eps}; "
-                f"minimum achievable disparity is {_min_disparity(members):.6g}"
-            )
-        picks = _pick_best(tables, finalists, names, names[0])
-        params = {"measure": constraint.measure.value, "epsilon": eps}
-        return _finish(scored, tables, picks, "equality", params, "exact-grid")
+        self.min_disparity = None
+        self.last = None  # (epsilon, picks) of the last search that found picks
+        self.caps, self.caps_eps = {}, math.inf  # anchor caps from searches at >= caps_eps
 
-    raise DataError(f"unknown constraint {constraint!r}")
+    @functools.cached_property
+    def stats(self) -> list[np.ndarray]:
+        """Per group, the tracked statistics at every candidate."""
+        return [np.stack([t.stat(name) for name in self.names]) for t in self.tables]
+
+    def satisfies(self, picks, eps) -> bool:
+        """max - min of every tracked statistic at the picks is <= eps."""
+        vals = np.stack([s[:, p] for s, p in zip(self.stats, picks)])
+        return bool((vals.max(axis=0) - vals.min(axis=0) <= eps).all())
+
+    def picks(self, eps):
+        if self.last is not None and self.last[0] >= eps and self.satisfies(self.last[1], eps):
+            return self.last[1]
+        if self.min_disparity is None or eps >= self.min_disparity:
+            if eps > self.caps_eps:
+                self.caps = {}
+            self.caps_eps = eps
+            top, finalists = _window_search(self.members, eps, self.caps)
+            if top >= 0:
+                self.last = (eps, _pick_best(self.tables, finalists, self.names, self.names[0]))
+                return self.last[1]
+            if self.min_disparity is None:
+                self.min_disparity = _min_disparity(self.members)
+        raise InfeasibleConstraintError(
+            f"no candidate policy reaches disparity <= {eps}; "
+            f"minimum achievable disparity is {self.min_disparity:.6g}"
+        )
+
+    def enforce(self, eps) -> EnforcementResult:
+        params = {"measure": self.measure.value, "epsilon": eps}
+        return _finish(self.scored, self.tables, self.picks(eps), "equality", params, "exact-grid")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Everything here recomputes results from raw rows with itertools-style
 enumeration.  None of it calls into the package's search code, so an
-agreement test compares two genuinely independent implementations.
+agreement test compares two genuinely independent implementations.  The
+one exception is equality_frontier, the reference for the sweep rather
+than for the search: it runs the package's single-constraint enforce
+afresh at every point, which the brute-force enforce above judges.
 """
 
 import csv
@@ -14,11 +17,17 @@ import numpy as np
 from levelup import (
     DataError,
     Equality,
+    FrontierResult,
+    InfeasibleConstraintError,
     MaximumRate,
     MinimumRate,
     Unconstrained,
+    disparity,
+    pareto_prune,
     scored_from_arrays,
 )
+from levelup.frontier import _check_resolution, _dedup, _point
+from levelup.policy import _build_tables, _enforce
 
 REJECT_ALL = 1.5
 
@@ -213,6 +222,38 @@ def brute_force_pareto(accuracy, objective, direction="min"):
         if not dominated:
             keep.append(i)
     return keep
+
+
+def equality_frontier(scored, measure, resolution=50):
+    """The equality sweep point by point: epsilon ascending over
+    linspace(0, unconstrained disparity, resolution), a fresh enforce at
+    each point, the unconstrained policy first among the raw points."""
+    _check_resolution(resolution)
+    tables = _build_tables(scored)
+    uncon = _enforce(scored, tables, Unconstrained())
+    d0 = disparity(uncon.metrics, measure)
+    if d0 is None:
+        raise DataError(
+            f"disparity of {measure.value} is undefined under the "
+            "unconstrained policy; no frontier exists"
+        )
+    raw = [_point(uncon, d0, None)]
+    skipped = []
+    for eps in np.linspace(0.0, d0, resolution):
+        try:
+            res = _enforce(scored, tables, Equality(measure, float(eps)))
+        except InfeasibleConstraintError as exc:
+            skipped.append(f"epsilon={float(eps):.6g}: {exc}")
+            continue
+        raw.append(_point(res, disparity(res.metrics, measure), float(eps)))
+    pts = pareto_prune(_dedup(raw), "min")
+    return FrontierResult(
+        points=tuple(pts),
+        objective=f"disparity:{measure.value}",
+        objective_direction="min",
+        perfectly_fair_point_exists=any(p.objective_value == 0.0 for p in pts),
+        skipped=tuple(skipped),
+    )
 
 
 def write_scores_csv(scored, path):

@@ -198,6 +198,27 @@ class TestSerialization:
         with pytest.raises(DataError):
             report_from_json_dict(payload)
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "audit report is not valid JSON"),
+        ("[1, 2]", "audit report is not a JSON object"),
+        ('{"schema_version": 1}', "audit report has no key 'baseline'"),
+    ], ids=["not-json", "top-level-list", "missing-key"])
+    def test_malformed_file_is_located_data_error(self, tmp_path, text,
+                                                  message):
+        path = tmp_path / "audit.json"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            load_report(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_wrong_field_type_is_data_error(self, gap_pair, tmp_path):
+        payload = report_to_json_dict(self.make_report(gap_pair))
+        payload["levelled_down_groups"] = 7
+        path = tmp_path / "audit.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="malformed audit report"):
+            load_report(path)
+
     def test_saved_bytes_are_deterministic(self, gap_pair, tmp_path):
         report = self.make_report(gap_pair)
         p1 = tmp_path / "one.json"

@@ -265,6 +265,21 @@ class TestAudit:
         assert report.levelled_down_groups == ()
         assert report.accuracy_before == report.accuracy_after
 
+    @pytest.mark.parametrize("flag", ["--policy", "--baseline-policy"])
+    def test_policy_file_not_json_is_data_error(self, scores_path, enforce_dir,
+                                                tmp_path, capsys, flag):
+        bad = tmp_path / "policy.json"
+        bad.write_text("{not json")
+        policies = {"--policy": str(enforce_dir / "policy.json"),
+                    "--baseline-policy": str(enforce_dir / "policy.json")}
+        policies[flag] = str(bad)
+        args = [x for kv in policies.items() for x in kv]
+        assert main(["audit", "--scores", str(scores_path), *args,
+                     "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"{bad} is not valid JSON" in err
+
     def test_policy_required(self, scores_path, tmp_path):
         assert main(["audit", "--scores", str(scores_path),
                      "--out", str(tmp_path / "x")]) == 2

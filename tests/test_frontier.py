@@ -2,20 +2,28 @@ import numpy as np
 import pytest
 
 import oracle
+from conftest import random_small_scored
 from levelup import (
     DataError,
+    Equality,
     FairnessMeasure,
     FrontierPoint,
+    InfeasibleConstraintError,
+    enforce,
     equality_frontier,
     frontier_from_jsonl,
     frontier_to_jsonl,
     frontier_to_tsv,
+    harm_profile,
     mrc_frontier,
     pareto_prune,
     scored_from_arrays,
 )
+from levelup import policy as policy_module
 
 DP = FairnessMeasure.DEMOGRAPHIC_PARITY
+CUAE = FairnessMeasure.CONDITIONAL_USE_ACCURACY_EQUALITY
+ENFORCEABLE = [m for m in FairnessMeasure if harm_profile(m).enforceable]
 
 
 def cloud(rng, n):
@@ -136,6 +144,134 @@ class TestEqualityFrontier:
                 resolution=5)
 
 
+def medium_scored(rng):
+    """Two groups of 20-150 rows over 5-40 distinct scores, labels drawn
+    with probability equal to the score."""
+    scores, labels, groups = [], [], []
+    for g in range(2):
+        n = int(rng.integers(20, 150))
+        grid = np.round(np.sort(rng.random(int(rng.integers(5, 40)))), 3)
+        s = rng.choice(grid, n)
+        scores.append(s)
+        labels.append((rng.random(n) < s).astype(np.int64))
+        groups.append(np.full(n, g))
+    return scored_from_arrays(np.concatenate(scores), np.concatenate(labels),
+                              np.concatenate(groups), ("a", "b"))
+
+
+def count_calls(monkeypatch, name):
+    """Replace policy.<name> with a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(policy_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(policy_module, name, counted)
+    return calls
+
+
+class TestEqualitySweep:
+    """The sweep runs from the loose end and carries state between points;
+    its result must equal a fresh enforce at every point."""
+
+    def test_matches_point_by_point_oracle(self):
+        rng = np.random.default_rng(2024)
+        compared = with_tail = 0
+        for i in range(140):
+            scored = random_small_scored(rng, n_groups=int(rng.integers(2, 5)),
+                                         max_distinct=int(rng.integers(3, 9)))
+            measure = ENFORCEABLE[i % len(ENFORCEABLE)]
+            resolution = int(rng.integers(2, 31))
+            try:
+                want = oracle.equality_frontier(scored, measure, resolution)
+            except DataError as exc:
+                with pytest.raises(DataError) as info:
+                    equality_frontier(scored, measure, resolution)
+                assert str(info.value) == str(exc)
+                continue
+            got = equality_frontier(scored, measure, resolution)
+            assert got == want
+            assert got.skipped == want.skipped
+            assert got.perfectly_fair_point_exists == want.perfectly_fair_point_exists
+            compared += 1
+            with_tail += len(got.skipped) >= 2
+        assert compared >= 80
+        assert with_tail >= 10
+
+    @pytest.mark.parametrize("measure", [FairnessMeasure.EQUALIZED_ODDS, CUAE])
+    def test_two_statistic_sweep_matches_oracle(self, measure):
+        # Tens of distinct scores per group, so later searches start from
+        # anchor totals that earlier ones recorded.  On these seeds a total
+        # recorded from the tie pass's smaller member set would cap an
+        # anchor below its true total.
+        for seed in (43, 45, 47, 49, 56, 115):
+            scored = medium_scored(np.random.default_rng(seed))
+            want = oracle.equality_frontier(scored, measure, 30)
+            assert equality_frontier(scored, measure, 30) == want
+
+    def test_search_in_any_epsilon_order_equals_fresh_enforce(self):
+        # state carried between calls must never leak into a looser epsilon
+        rng = np.random.default_rng(77)
+        for i in range(30):
+            scored = random_small_scored(rng, n_groups=int(rng.integers(2, 4)),
+                                         max_distinct=8)
+            measure = ENFORCEABLE[i % len(ENFORCEABLE)]
+            tables = policy_module._build_tables(scored)
+            search = policy_module._EqualitySearch(scored, tables,
+                                                   Equality(measure, 1.0))
+            for eps in rng.choice(np.linspace(0.0, 0.6, 13), size=12):
+                eps = float(eps)
+                try:
+                    want = enforce(scored, Equality(measure, eps))
+                except InfeasibleConstraintError as exc:
+                    with pytest.raises(InfeasibleConstraintError) as info:
+                        search.enforce(eps)
+                    assert str(info.value) == str(exc)
+                    continue
+                assert search.enforce(eps) == want
+
+    @pytest.mark.parametrize("measure", [DP, FairnessMeasure.EQUALIZED_ODDS])
+    def test_members_built_once(self, gap_scored, monkeypatch, measure):
+        calls = count_calls(monkeypatch, "_members")
+        equality_frontier(gap_scored, measure, resolution=20)
+        assert len(calls) == 1
+
+    def test_min_disparity_runs_at_most_once(self, monkeypatch):
+        scored = random_small_scored(np.random.default_rng(24), max_distinct=6)
+        want = oracle.equality_frontier(scored, CUAE, 10)
+        calls = count_calls(monkeypatch, "_min_disparity")
+        got = equality_frontier(scored, CUAE, 10)
+        assert len(got.skipped) >= 2
+        assert len(calls) == 1
+        assert got == want
+
+    def test_carried_points_skip_the_search(self, monkeypatch):
+        scored = random_small_scored(np.random.default_rng(3), max_distinct=5)
+        want = oracle.equality_frontier(scored, DP, 20)
+        calls = count_calls(monkeypatch, "_window_search")
+        got = equality_frontier(scored, DP, 20)
+        assert got.skipped == ()
+        assert len(calls) < 20
+        assert got == want
+
+    def test_carried_point_records_its_own_epsilon(self, monkeypatch):
+        # every point of the sweep, before pruning, keeps its epsilon
+        scored = random_small_scored(np.random.default_rng(3), max_distinct=5)
+        seen = []
+        inner = policy_module._finish
+
+        def recorded(*args, **kwargs):
+            seen.append(args[4])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(policy_module, "_finish", recorded)
+        equality_frontier(scored, DP, 20)
+        eps = [p["epsilon"] for p in seen if "epsilon" in p]
+        assert len(eps) == len(set(eps)) == 20
+
+
 class TestMrcFrontier:
     @pytest.fixture
     def frontier(self, rate_frontier):
@@ -208,6 +344,39 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "objective\taccuracy"
         assert len(lines) == 1 + len(result.points)
+
+    @pytest.mark.parametrize("lines, where, message", [
+        (["{not json"], "line 1", "frontier header is not valid JSON"),
+        (['[{"objective": "disparity:demographic_parity"}]'], "line 1",
+         "frontier header is not a JSON object"),
+        (['{"objective": "disparity:demographic_parity"}'], "line 1",
+         "frontier header has no key 'objective_direction'"),
+        ([None, "", '{"accuracy": 0.5}'], "line 3",
+         "frontier point has no key 'policy'"),
+        ([None, "[0.5]"], "line 2", "frontier point is not a JSON object"),
+        ([None, "{bad"], "line 2", "frontier point is not valid JSON"),
+    ], ids=["not-json", "top-level-list", "header-key", "point-key",
+            "point-list", "point-not-json"])
+    def test_malformed_jsonl_names_the_line(self, gap_scored, tmp_path,
+                                            lines, where, message):
+        good = tmp_path / "good.jsonl"
+        frontier_to_jsonl(equality_frontier(gap_scored, DP, resolution=4), good)
+        header = good.read_text().splitlines()[0]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(header if x is None else x for x in lines) + "\n")
+        with pytest.raises(DataError) as info:
+            frontier_from_jsonl(path)
+        assert str(info.value).startswith(f"{path} {where}: {message}")
+
+    def test_malformed_point_policy_names_the_line(self, gap_scored, tmp_path):
+        path = tmp_path / "frontier.jsonl"
+        frontier_to_jsonl(equality_frontier(gap_scored, DP, resolution=4), path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"thresholds"', '"cutoffs"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"line 2: malformed frontier point: "
+                                            r"malformed policy payload"):
+            frontier_from_jsonl(path)
 
     def test_writes_are_byte_identical(self, gap_scored, tmp_path):
         result = equality_frontier(gap_scored, DP, resolution=6)
