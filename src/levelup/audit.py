@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import metrics as M
-from .data import DataError, _parse_json_object
+from .data import DataError, _parse_json_object, _read_text
 from .metrics import STATISTIC_DIRECTIONS, FairnessMeasure, GroupMetrics
 
 __all__ = [
@@ -325,9 +325,8 @@ def save_report(report: AuditReport, path: str | Path) -> None:
 
 def load_report(path: str | Path) -> AuditReport:
     """Inverse of save_report; a DataError naming the file when it is not
-    a JSON audit report."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    a UTF-8 JSON audit report."""
+    text = _read_text(path, "audit report")
     return _parse_json_object(text, str(path), "audit report", report_from_json_dict)
 
 

@@ -30,6 +30,7 @@ from .data import (
     DataError,
     GroupSpec,
     SynthSpec,
+    _read_text,
     load_csv,
     save_csv,
     split,
@@ -173,11 +174,10 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, outputs: list[str]) -
 
 
 def _load_json(path, what: str):
-    """The parsed JSON file; a DataError naming it when it cannot be read
-    or is not JSON."""
+    """The parsed JSON file; a DataError naming it when it cannot be read,
+    is not UTF-8 or is not JSON."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        return json.loads(_read_text(path, what))
     except OSError as exc:
         raise DataError(f"cannot open {what} {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:

@@ -49,6 +49,16 @@ class DataError(ValueError):
         self.column = column
 
 
+def _read_text(path, what: str) -> str:
+    """The text of the UTF-8 file at path; a DataError naming it when it
+    is not UTF-8."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {what} is not UTF-8 text: {exc}") from exc
+
+
 def _parse_json_object(text: str, where: str, what: str, parse):
     """parse() of the JSON object in text; a DataError located at where
     when text is not JSON or not the object parse() expects."""

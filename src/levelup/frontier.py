@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as M
-from .data import DataError, _parse_json_object
+from .data import DataError, _parse_json_object, _read_text
 from .metrics import FairnessMeasure
 from .policy import (
     Equality,
@@ -301,22 +301,27 @@ def _header_from_dict(header: dict) -> dict:
         objective_direction=header["objective_direction"],
         perfectly_fair_point_exists=header["perfectly_fair_point_exists"],
         skipped=tuple(header["skipped"]),
+        points=int(header["points"]),
     )
 
 
 def frontier_from_jsonl(path: str | Path) -> FrontierResult:
     """Inverse of frontier_to_jsonl.  Blank lines are ignored; a malformed
-    line is a DataError naming it."""
-    with open(path, encoding="utf-8") as handle:
-        lines = [(k, line) for k, line in enumerate(handle, start=1) if line.strip()]
+    line, a file that is not UTF-8 and a point count other than the
+    header's are DataErrors naming the file."""
+    text = _read_text(path, "frontier")
+    lines = [(k, line) for k, line in enumerate(text.split("\n"), start=1) if line.strip()]
     if not lines:
         raise DataError(f"{path} is empty")
     (k, first), rest = lines[0], lines[1:]
     header = _parse_json_object(first, f"{path} line {k}", "frontier header", _header_from_dict)
+    count = header.pop("points")
     points = tuple(
         _parse_json_object(line, f"{path} line {k}", "frontier point", _point_from_dict)
         for k, line in rest
     )
+    if len(points) != count:
+        raise DataError(f"{path}: header gives {count} points, file has {len(points)}")
     return FrontierResult(points=points, **header)
 
 

@@ -12,13 +12,16 @@ achievable confusion outcome for that group exactly once.
 Search.  enforce() maximizes pooled accuracy over the product of
 per-group candidate grids subject to the constraint.  Accuracy ties are
 broken, in order, by lower disparity of the constraint's statistic,
-higher minimum group value of that statistic, then the lexicographically
-smallest threshold vector.  Unconstrained has no relevant statistic, so
-its ties go straight to the lexicographic rule.  The search is exact for
-every constraint at any group count: Equality and the tie-break among
-separable finalists both use one anchored-window search (see the window
-search section below).  Provenance.approximate stays in the file format
-for old policy files and is always false.
+higher minimum group value of that statistic (the first one, for a
+measure tracking two), then the lexicographically smallest threshold
+vector.  Unconstrained has no relevant statistic, so its ties go
+straight to the lexicographic rule.  The search is exact for every
+constraint at any group count: Equality and the tie-break among
+separable finalists both use one anchored-window search, which answers
+each stage of the tie-break as an exact question on its windows and
+never lists the tied combinations (see the window search section
+below).  Provenance.approximate stays in the file format for old policy
+files and is always false.
 
 Levelling-up floor.  MinimumRate enforcement never returns a policy in
 which any group's constrained statistic falls below the value that group
@@ -271,26 +274,6 @@ def candidate_thresholds(scored: ScoredDataset, gid: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tie-break machinery
-
-def _pick_best(tables, combos, stat_names, primary):
-    """Deterministic winner among accuracy-tied feasible combos (F, G)."""
-    groups = range(len(tables))
-
-    def column(values):
-        return np.stack([values[g][combos[:, g]] for g in groups], axis=1)
-
-    disp = np.zeros(len(combos))
-    for name in stat_names:
-        vals = column([t.stat(name) for t in tables])
-        disp = np.maximum(disp, vals.max(axis=1) - vals.min(axis=1))
-    min_prim = column([t.stat(primary) for t in tables]).min(axis=1)
-    thr = column([t.thresholds for t in tables])
-    keys = [thr[:, g] for g in reversed(groups)] + [-min_prim, disp]
-    return tuple(int(v) for v in combos[np.lexsort(tuple(keys))[0]])
-
-
-# ---------------------------------------------------------------------------
 # window search: exact coupled search over per-group candidate sets
 #
 # Let lo be the smallest value of a tracked statistic in a combination of
@@ -300,6 +283,16 @@ def _pick_best(tables, combos, stat_names, primary):
 # candidates' own values, of products of per-group windows, and the best
 # pooled accuracy is the best, over anchors, of a sum of per-group window
 # maxima.
+#
+# The tie-break runs on the same structure.  A combination reaching the
+# best total takes each group's window best at its own lo, which is a
+# tied anchor.  A member's offset at an anchor is v - anchor (with two
+# statistics, the larger of its two offsets), the subtraction
+# metrics.disparity does, so offsets are compared exactly.  The least
+# disparity d is the smallest, over tied anchors, of the largest per-group
+# least offset among best-holding members; the higher minimum is the
+# largest anchor reaching d; there, each group takes its smallest
+# candidate index among best-holding members with offset <= d.
 
 @dataclass
 class _Members:
@@ -372,94 +365,91 @@ def _anchor_pass(members, eps):
     return anchors, L, R, best, np.where((best >= 0).all(axis=0), best.sum(axis=0), -1)
 
 
-def _window_search(members, eps, caps=None):
-    """Best total correct over feasible combinations, and every combination
-    reaching it as candidate indices (F, G); (-1, None) when none is feasible.
+def _window_search(members, eps, caps=None, offsets=None):
+    """The tie-break's pick among feasible combinations of one member per
+    group: (top, d, pick), where top is the best total correct, d the least
+    disparity among the combinations reaching it and pick their first by
+    higher minimum, then smallest candidate indices; (-1, inf, None) when
+    none is feasible.
 
     caps, for two statistics, maps first-statistic anchors to upper bounds
-    of their best total (see _box_scan).
+    of their best total (see _box_scan).  offsets, in the inner search of
+    two statistics, holds per group each member's first-statistic offset
+    from the outer anchor; the higher minimum is then the outer search's
+    to settle, so the pick is the smallest over every anchor reaching d.
     """
     if len(members[0].stats) == 2:
-        return _box_search(members, eps, caps)
-    _, L, R, best, total = _anchor_pass(members, eps)
+        return _box_scan(members, eps, caps)
+    anchors, L, R, best, total = _anchor_pass(members, eps)
     top = int(total.max())
     if top < 0:
-        return -1, None
+        return -1, math.inf, None
     tied = np.flatnonzero(total == top)
-    # Per tied anchor and group, the first and last window position whose
-    # correct equals the window's best; sorting correct * m + position
-    # groups each value's positions in ascending runs.
-    rows = []
+    # Per tied anchor and group, the window positions holding the window's
+    # best are one run of the sorted keys correct * m + position.
+    runs, least = [], np.zeros(len(tied))
     for g, mb in enumerate(members):
         m = len(mb.correct)
         keys = np.sort(mb.correct * m + np.arange(m))
         base = best[g, tied] * m
-        rows.append(keys[np.searchsorted(keys, base + L[g][tied])] - base)
-        rows.append(keys[np.searchsorted(keys, base + R[g][tied]) - 1] - base)
-    combos = []
-    for row in np.unique(np.stack(rows, axis=1), axis=0):
-        sets = []
-        for g, mb in enumerate(members):
-            span = slice(row[2 * g], row[2 * g + 1] + 1)
-            sets.append(mb.idx[span][mb.correct[span] == mb.correct[row[2 * g]]])
-        grid = np.meshgrid(*sets, indexing="ij")
-        combos.append(np.stack([axis.ravel() for axis in grid], axis=1))
-    return top, np.unique(np.concatenate(combos), axis=0)
+        lo = np.searchsorted(keys, base + L[g][tied])
+        count = np.searchsorted(keys, base + R[g][tied]) - lo
+        start = np.cumsum(count) - count
+        pos = keys[np.arange(count.sum()) + np.repeat(lo - start, count)] % m
+        off = mb.stats[0, pos] - np.repeat(anchors[tied], count)
+        if offsets is not None:
+            off = np.maximum(off, offsets[g][pos])
+        least = np.maximum(least, np.minimum.reduceat(off, start))
+        runs.append((mb.idx[pos], off, start))
+    d = least.min()
+    at = np.flatnonzero(least == d)
+    if offsets is None:
+        at = at[-1:]
+    picks = np.stack([np.minimum.reduceat(np.where(off <= d, idx, np.iinfo(np.int64).max), start)[at]
+                      for idx, off, start in runs])
+    pick = picks[:, np.lexsort(picks[::-1])[0]]
+    return top, float(d), tuple(int(i) for i in pick)
 
 
-def _box_search(members, eps, caps=None):
-    """Two statistics: find the best, then collect the finalists among the
-    members that can still reach it.
+def _box_scan(members, eps, caps=None):
+    """Two statistics: for each first-statistic anchor, the one-statistic
+    search on the second statistic over the anchor's windows, every member
+    carrying its first-statistic offset from the anchor.
 
-    A finalist's member in group g has correct >= (the group's max) -
-    slack, where slack is the sum of the group maxima minus the best;
-    dropping the others keeps the collection small when many anchors tie.
+    _prune first drops the members no feasible combination can use.  The
+    first-statistic pass caps each anchor's total, so anchors are visited
+    best bound first until the bound falls below the best exact total
+    found; every anchor that can reach it is searched.  The pick is the
+    smallest (d, -anchor, pick): least disparity, then the higher minimum
+    of the first statistic, then the smallest indices.  caps, when given,
+    maps anchors to their best totals found at an epsilon at least this
+    large over at least these members; no total here exceeds them, so they
+    tighten the bounds.  Every exact total found is recorded in caps.
     """
     members = _prune(members, eps)
     if members is None:
-        return -1, None
-    top, _ = _box_scan(members, eps, False, caps)
-    if top < 0:
-        return -1, None
-    slack = sum(int(mb.correct.max()) for mb in members) - top
-    return _box_scan([mb.subset(mb.correct >= mb.correct.max() - slack)
-                      for mb in members], eps, True, caps)
-
-
-def _box_scan(members, eps, ties, caps=None):
-    """For each first-statistic anchor, the one-statistic search on the
-    second statistic over the anchor's windows.
-
-    The first-statistic pass caps each anchor's total, so anchors are
-    visited best bound first until the bound falls below the best exact
-    total found (or reaches it, when ties are not wanted).  caps, when
-    given, maps anchors to their best totals found at an epsilon at least
-    this large over at least these members; no total here exceeds them,
-    so they tighten the bounds.  A pass without ties records its exact
-    totals in caps.
-    """
+        return -1, math.inf, None
     anchors, L, R, _, bound = _anchor_pass(members, eps)
     if caps:
         bound = np.minimum(bound, [caps.get(a, b) for a, b in zip(anchors.tolist(), bound.tolist())])
-    top, found = -1, []
+    top, key = -1, (math.inf, 0.0, None)
     for a in np.argsort(-bound, kind="stable"):
-        if bound[a] < max(top + (not ties), 0):
+        if bound[a] < max(top, 0):
             break
-        window = []
+        window, offsets = [], []
         for mb, lo, hi in zip(members, L, R):
             span = np.arange(lo[a], hi[a])
             span = span[np.argsort(mb.stats[1, span], kind="stable")]
             window.append(_Members(mb.idx[span], mb.stats[1:, span], mb.correct[span]))
-        best, finalists = _window_search(window, eps)
-        if caps is not None and not ties:
+            offsets.append(mb.stats[0, span] - anchors[a])
+        best, d, pick = _window_search(window, eps, offsets=offsets)
+        if caps is not None:
             caps[float(anchors[a])] = best
         if best > top:
-            top, found = best, []
+            top, key = best, (math.inf, 0.0, None)
         if best == top >= 0:
-            found.append(finalists)
-    if top < 0:
-        return -1, None
-    return top, np.unique(np.concatenate(found), axis=0)
+            key = min(key, (d, -anchors[a], pick))
+    return top, key[0], key[2]
 
 
 def _prune(members, eps):
@@ -523,9 +513,9 @@ def _unconstrained_indices(tables) -> tuple[int, ...]:
 def _separable_search(tables, per_group_feasible, stat):
     """Exact search when both objective and constraint split across groups.
 
-    Each group keeps its accuracy-tied finalists; the tie-break's lowest
-    disparity is their minimum achievable disparity, so the window search
-    at that epsilon yields exactly the combos the tie-break ranks.
+    Each group keeps its accuracy-tied finalists, and every combination of
+    them is feasible, so the window search without a disparity bound ranks
+    them by the tie-break.
     """
     finalist_sets = []
     for g, t in enumerate(tables):
@@ -536,9 +526,7 @@ def _separable_search(tables, per_group_feasible, stat):
         finalist_sets.append(np.flatnonzero(c == c.max()))
     if all(len(s) == 1 for s in finalist_sets):
         return tuple(int(s[0]) for s in finalist_sets), None
-    members = _members(tables, (stat,), finalist_sets)
-    _, finalists = _window_search(members, _min_disparity(members))
-    return _pick_best(tables, finalists, (stat,), stat), None
+    return _window_search(_members(tables, (stat,), finalist_sets), math.inf)[2], None
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +625,9 @@ class _EqualitySearch:
 
     - below the minimum disparity it is infeasible, without a search;
     - picks found at a larger epsilon that still satisfy it are its
-      answer: its accuracy-tied finalists are a subset of the larger
-      epsilon's that still holds the picks, and the tie-break put them
-      first among all of those;
+      answer: they reach its best total, its feasible set is a subset of
+      the larger epsilon's, and the tie-break chain ranked the picks first
+      among the larger set's combinations reaching that total;
     - a two-statistic anchor's best total found at a larger epsilon caps
       its total (see _box_scan).
 
@@ -676,9 +664,9 @@ class _EqualitySearch:
             if eps > self.caps_eps:
                 self.caps = {}
             self.caps_eps = eps
-            top, finalists = _window_search(self.members, eps, self.caps)
+            top, _, picks = _window_search(self.members, eps, self.caps)
             if top >= 0:
-                self.last = (eps, _pick_best(self.tables, finalists, self.names, self.names[0]))
+                self.last = (eps, picks)
                 return self.last[1]
             if self.min_disparity is None:
                 self.min_disparity = _min_disparity(self.members)
@@ -719,6 +707,8 @@ def _level_single_group(vals, start_idx, target):
 
 
 def _check_level_up_stat(measure_or_stat, scored, tables):
+    """The statistic to level, the unconstrained picks and their values
+    of it; a DataError when levelling up cannot use it."""
     if isinstance(measure_or_stat, FairnessMeasure):
         names = tracked_statistics(measure_or_stat)
         if len(names) != 1:
@@ -738,13 +728,19 @@ def _check_level_up_stat(measure_or_stat, scored, tables):
             raise DataError(
                 f"level-up statistic must be one of {MIN_RATE_STATISTICS}"
             )
+    uncon = _unconstrained_indices(tables)
+    uncon_vals = []
     for g, t in enumerate(tables):
-        if np.all(np.isnan(t.stat(stat))):
+        vals = t.stat(stat)
+        if np.all(np.isnan(vals)):
             raise DataError(
                 f"{stat} is undefined for every threshold of group "
                 f"{scored.group_names[g]!r}"
             )
-    return stat
+        uncon_vals.append(float(vals[uncon[g]]))
+    if any(np.isnan(v) for v in uncon_vals):
+        raise DataError(f"{stat} undefined under the unconstrained policy")
+    return stat, uncon, uncon_vals
 
 
 def partial_level_up(
@@ -763,11 +759,7 @@ def partial_level_up(
     group is ever moved backwards.
     """
     tables = _build_tables(scored)
-    stat = _check_level_up_stat(measure, scored, tables)
-    uncon = _unconstrained_indices(tables)
-    uncon_vals = [float(tables[g].stat(stat)[uncon[g]]) for g in range(len(tables))]
-    if any(np.isnan(v) for v in uncon_vals):
-        raise DataError(f"{stat} undefined under the unconstrained policy")
+    stat, uncon, uncon_vals = _check_level_up_stat(measure, scored, tables)
     top = max(uncon_vals)
     if all(v == top for v in uncon_vals):
         picks = uncon
@@ -802,11 +794,7 @@ def full_level_up(scored: ScoredDataset, statistic: str) -> EnforcementResult:
     residual gap is recorded in the provenance note.
     """
     tables = _build_tables(scored)
-    stat = _check_level_up_stat(statistic, scored, tables)
-    uncon = _unconstrained_indices(tables)
-    uncon_vals = [float(tables[g].stat(stat)[uncon[g]]) for g in range(len(tables))]
-    if any(np.isnan(v) for v in uncon_vals):
-        raise DataError(f"{stat} undefined under the unconstrained policy")
+    stat, uncon, uncon_vals = _check_level_up_stat(statistic, scored, tables)
     target = max(uncon_vals)
     picks = list(uncon)
     gaps = []

@@ -211,6 +211,14 @@ class TestSerialization:
             load_report(path)
         assert str(info.value).startswith(f"{path}: {message}")
 
+    def test_file_not_utf8_is_located_data_error(self, gap_pair, tmp_path):
+        path = tmp_path / "audit.json"
+        path.write_bytes(b"\xff" + json.dumps(
+            report_to_json_dict(self.make_report(gap_pair))).encode())
+        with pytest.raises(DataError) as info:
+            load_report(path)
+        assert str(info.value).startswith(f"{path}: audit report is not UTF-8 text")
+
     def test_wrong_field_type_is_data_error(self, gap_pair, tmp_path):
         payload = report_to_json_dict(self.make_report(gap_pair))
         payload["levelled_down_groups"] = 7

@@ -314,6 +314,15 @@ class TestConfigResolution:
         assert main(["enforce", "--scores", str(scores_path), "--config",
                      str(config), "--out", str(tmp_path / "x")]) == 3
 
+    def test_config_not_utf8_is_data_error(self, scores_path, tmp_path,
+                                           capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'\xff{"constraint": "dp"}')
+        assert main(["enforce", "--scores", str(scores_path), "--config",
+                     str(config), "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {config}: config is not UTF-8 text")
+
     def test_out_env_var_fallback(self, spec_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("LEVELUP_OUT", str(target))

@@ -378,6 +378,25 @@ class TestSerialization:
                                             r"malformed policy payload"):
             frontier_from_jsonl(path)
 
+    def test_file_not_utf8_is_located_data_error(self, gap_scored, tmp_path):
+        path = tmp_path / "frontier.jsonl"
+        frontier_to_jsonl(equality_frontier(gap_scored, DP, resolution=4), path)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(DataError) as info:
+            frontier_from_jsonl(path)
+        assert str(info.value).startswith(f"{path}: frontier is not UTF-8 text")
+
+    def test_truncated_file_is_data_error(self, adult_scored_train, tmp_path):
+        path = tmp_path / "frontier.jsonl"
+        frontier_to_jsonl(equality_frontier(adult_scored_train, DP), path)
+        lines = path.read_text().splitlines()
+        assert len(lines) > 5
+        path.write_text("\n".join(lines[:5]) + "\n")
+        with pytest.raises(DataError) as info:
+            frontier_from_jsonl(path)
+        assert str(info.value) == (f"{path}: header gives {len(lines) - 1} "
+                                   "points, file has 4")
+
     def test_writes_are_byte_identical(self, gap_scored, tmp_path):
         result = equality_frontier(gap_scored, DP, resolution=6)
         p1 = tmp_path / "one.jsonl"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,51 @@ class TestOracleAgreement:
         self.check(include, Equality(DP, 0.5))
         self.check(exclude, Equality(DP, 0.3))
 
+    def test_tie_heavy_plateaus(self):
+        # Few distinct scores with labels alternating along them put many
+        # combinations on one accuracy plateau, so the tie-break decides.
+        rng = np.random.default_rng(600)
+        levels = np.round(np.linspace(0.1, 0.9, 6), 3)
+        for _ in range(14):
+            n_groups = int(rng.integers(2, 7))
+            distinct = rng.integers(1, 4, n_groups)
+            while np.prod(distinct + 1) > 400:
+                distinct = rng.integers(1, 4, n_groups)
+            rows = []
+            for g, k in enumerate(distinct):
+                values = np.sort(rng.choice(levels, k, replace=False))
+                scores = np.sort(np.concatenate(
+                    [values, rng.choice(values, int(rng.integers(1, 6)))]))
+                rows += [(s, i % 2, f"g{g}") for i, s in enumerate(scores)]
+            scored = scored_of(rows)
+            constraints = [Equality(m, eps) for m in ENFORCEABLE
+                           for eps in (float(rng.uniform(0.3, 0.6)), 1.0)]
+            constraints += [MinimumRate(s, float(rng.uniform(0.0, 0.9)))
+                            for s in ("selection_rate", "tpr", "tnr", "precision")]
+            constraints += [MaximumRate(float(rng.uniform(0.2, 1.0)))]
+            for constraint in constraints:
+                self.check(scored, constraint)
+
+    @pytest.mark.parametrize("rows, epsilon", [
+        # the least disparity is reached at two second-statistic anchors,
+        # and the smaller one holds the smaller thresholds
+        ("0.1 0 a, 0.1 1 a, 0.2 0 a, 0.6 0 a, 0.6 0 a, 0.7 0 a, 0.7 1 a,"
+         " 0.8 1 a, 0.1 1 b, 0.3 0 b, 0.3 1 b, 0.3 0 b, 0.3 1 b, 0.6 1 b,"
+         " 0.7 0 b, 0.8 1 b, 0.8 0 b, 0.9 0 b, 0.4 1 c, 0.4 1 c, 0.4 0 c,"
+         " 0.4 1 c, 0.4 1 c, 0.5 0 c, 0.5 1 c, 0.5 0 c, 0.7 1 c, 0.7 0 c,"
+         " 0.8 0 c, 0.8 1 c", 0.2),
+        # the best-holding member with the least second-statistic offset
+        # is not the one with the least offset over both statistics
+        ("0.1 0 a, 0.1 1 a, 0.42 1 a, 0.42 1 a, 0.42 0 a, 0.58 0 a,"
+         " 0.58 1 a, 0.74 1 a, 0.74 1 a, 0.1 0 b, 0.26 1 b, 0.42 0 b,"
+         " 0.74 1 b, 0.74 0 b, 0.1 0 c, 0.1 0 c, 0.1 1 c, 0.42 1 c,"
+         " 0.42 0 c, 0.74 0 c, 0.74 1 c, 0.9 1 c, 0.9 1 c", 0.7),
+    ], ids=["every-inner-anchor", "larger-offset"])
+    def test_two_statistic_tie_break(self, rows, epsilon):
+        scored = scored_of([(float(s), int(y), g) for s, y, g in
+                            (row.split() for row in rows.split(","))])
+        self.check(scored, Equality(CUAE, epsilon))
+
     @pytest.mark.parametrize("n_groups, max_distinct, datasets",
                              [(4, 5, 3), (5, 4, 1)])
     def test_equality_at_four_and_five_groups(self, n_groups, max_distinct,
@@ -301,7 +347,7 @@ class TestSeparableTiePlateau:
     def test_plateau_reaches_minimum_disparity(self):
         # Labels alternate along each group's scores, so every odd
         # candidate index ties on correctness: 5 * 7 * 9 * 13 * 17 * 25 > 1M
-        # tied combos, all of which the tie-break must rank.  Every group
+        # tied combos, which the tie-break settles without listing.  Every group
         # can select exactly half its rows, so the plateau reaches zero
         # disparity; the lowest tied thresholds alone do not.
         sizes = [10, 14, 18, 26, 34, 50]
@@ -314,6 +360,32 @@ class TestSeparableTiePlateau:
         assert result.accuracy == enforce(scored, Unconstrained()).accuracy
         plateau = [[(n - k) / n for k in range(1, n, 2)] for n in sizes]
         assert disparity(result.metrics, DP) == smallest_spread(plateau)
+
+
+class TestEqualityTiePlateau:
+    @pytest.mark.parametrize("measure", [DP, ODDS])
+    def test_plateau_is_settled_without_listing_ties(self, measure):
+        # Alternating labels tie every odd candidate index on correctness,
+        # about 1.6M accuracy-tied combinations at epsilon 0.5; the pick
+        # has every group select its top half.
+        sizes = [10, 14, 18, 22, 26, 30]
+        scores = np.concatenate([np.linspace(0.02, 0.98, n) for n in sizes])
+        labels = np.concatenate([np.arange(n) % 2 for n in sizes])
+        groups = np.concatenate([np.full(n, g) for g, n in enumerate(sizes)])
+        scored = scored_from_arrays(scores, labels, groups,
+                                    tuple(f"g{g}" for g in range(len(sizes))))
+        tracemalloc.start()
+        try:
+            result = enforce(scored, Equality(measure, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert result.policy.thresholds == tuple(
+            float(candidate_thresholds(scored, g)[n // 2])
+            for g, n in enumerate(sizes))
+        assert result.accuracy == enforce(scored, Unconstrained()).accuracy
+        assert set(result.metrics.values("selection_rate")) == {0.5}
 
 
 class TestMinimumRateSemantics:
