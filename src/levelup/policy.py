@@ -227,50 +227,48 @@ class _GroupTable:
         raise DataError(f"unknown statistic {name!r}")
 
 
+def _group_table(scored: ScoredDataset, gid: int) -> _GroupTable:
+    """Candidate table of one group's rows.
+
+    The rows are ordered by one in-place sort of int64 keys
+    (score bits << 1) | label.  ScoredDataset keeps scores in (0, 1) and
+    labels in {0, 1}; non-negative float64 values order like their bit
+    patterns, and the bits of a value below 1.0 stay under 2**62, so the
+    shifted key fits in int64 and decodes back to the exact score and label.
+    """
+    rows = scored.group_rows(gid)
+    if len(rows) == 0:
+        raise DataError(f"group {scored.group_names[gid]!r} has no rows")
+    key = scored.scores[rows].view(np.int64) << 1
+    key |= scored.labels[rows]
+    key.sort()
+    bits = key >> 1
+    start = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    distinct = bits[start].view(np.float64)
+    # suffix sums: candidate k selects the rows from distinct score k on
+    tp = np.append(np.cumsum((key & 1)[::-1])[::-1][start], 0)
+    fp = np.append(len(key) - start, 0) - tp
+    thresholds = np.empty(len(distinct) + 1)
+    thresholds[0] = 0.0
+    lower, upper, mid = distinct[:-1], distinct[1:], thresholds[1:-1]
+    np.add(lower, upper, out=mid)
+    mid /= 2.0
+    # guard against the midpoint rounding onto the lower score
+    np.copyto(mid, upper, where=~(lower < mid))
+    thresholds[-1] = REJECT_ALL
+    pos = int(tp[0])
+    return _GroupTable(thresholds=thresholds, tp=tp, fp=fp, n=len(key), pos=pos, neg=len(key) - pos)
+
+
 def _build_tables(scored: ScoredDataset) -> list[_GroupTable]:
-    tables = []
-    for gid in range(scored.n_groups):
-        rows = scored.group_rows(gid)
-        if len(rows) == 0:
-            raise DataError(f"group {scored.group_names[gid]!r} has no rows")
-        s = scored.scores[rows]
-        y = scored.labels[rows]
-        order = np.argsort(s, kind="stable")
-        s, y = s[order], y[order]
-        start = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-        distinct = s[start]
-        pos_at = np.add.reduceat(y, start)
-        tot_at = np.diff(np.append(start, len(s)))
-        neg_at = tot_at - pos_at
-        # suffix sums: candidate k selects the distinct scores from k on
-        tp = np.append(np.cumsum(pos_at[::-1])[::-1], 0)
-        fp = np.append(np.cumsum(neg_at[::-1])[::-1], 0)
-        thresholds = np.empty(len(distinct) + 1)
-        thresholds[0] = 0.0
-        lower, upper, mid = distinct[:-1], distinct[1:], thresholds[1:-1]
-        np.add(lower, upper, out=mid)
-        mid /= 2.0
-        # guard against the midpoint rounding onto the lower score
-        np.copyto(mid, upper, where=~(lower < mid))
-        thresholds[-1] = REJECT_ALL
-        tables.append(
-            _GroupTable(
-                thresholds=thresholds,
-                tp=tp.astype(np.int64),
-                fp=fp.astype(np.int64),
-                n=len(rows),
-                pos=int(y.sum()),
-                neg=len(rows) - int(y.sum()),
-            )
-        )
-    return tables
+    return [_group_table(scored, gid) for gid in range(scored.n_groups)]
 
 
 def candidate_thresholds(scored: ScoredDataset, gid: int) -> np.ndarray:
     """All useful thresholds for one group, ascending: 0, midpoints, sentinel."""
     if not 0 <= gid < scored.n_groups:
         raise DataError(f"no group with id {gid}")
-    return _build_tables(scored)[gid].thresholds.copy()
+    return _group_table(scored, gid).thresholds
 
 
 # ---------------------------------------------------------------------------
@@ -386,29 +384,48 @@ def _window_search(members, eps, caps=None, offsets=None):
         return -1, math.inf, None
     tied = np.flatnonzero(total == top)
     # Per tied anchor and group, the window positions holding the window's
-    # best are one run of the sorted keys correct * m + position.
-    runs, least = [], np.zeros(len(tied))
+    # best are one run [lo, hi) of the sorted keys correct * m + position.
+    runs = []
     for g, mb in enumerate(members):
         m = len(mb.correct)
         keys = np.sort(mb.correct * m + np.arange(m))
         base = best[g, tied] * m
-        lo = np.searchsorted(keys, base + L[g][tied])
-        count = np.searchsorted(keys, base + R[g][tied]) - lo
+        runs.append((keys, np.searchsorted(keys, base + L[g][tied]),
+                     np.searchsorted(keys, base + R[g][tied])))
+    if offsets is None:
+        return (top, *_single_pick(members, anchors[tied], runs))
+    least, gathered = np.zeros(len(tied)), []
+    for mb, outer, (keys, lo, hi) in zip(members, offsets, runs):
+        count = hi - lo
         start = np.cumsum(count) - count
-        pos = keys[np.arange(count.sum()) + np.repeat(lo - start, count)] % m
-        off = mb.stats[0, pos] - np.repeat(anchors[tied], count)
-        if offsets is not None:
-            off = np.maximum(off, offsets[g][pos])
+        pos = keys[np.arange(count.sum()) + np.repeat(lo - start, count)] % len(keys)
+        off = np.maximum(mb.stats[0, pos] - np.repeat(anchors[tied], count), outer[pos])
         least = np.maximum(least, np.minimum.reduceat(off, start))
-        runs.append((mb.idx[pos], off, start))
+        gathered.append((mb.idx[pos], off, start))
     d = least.min()
     at = np.flatnonzero(least == d)
-    if offsets is None:
-        at = at[-1:]
     picks = np.stack([np.minimum.reduceat(np.where(off <= d, idx, np.iinfo(np.int64).max), start)[at]
-                      for idx, off, start in runs])
+                      for idx, off, start in gathered])
     pick = picks[:, np.lexsort(picks[::-1])[0]]
     return top, float(d), tuple(int(i) for i in pick)
+
+
+def _single_pick(members, anchors, runs):
+    """(d, pick) of one statistic from the best-holding runs at the tied
+    anchors.  Positions ascend the statistic, so a run's first position
+    holds its least offset, and only the picked anchor's runs are
+    gathered: the largest anchor reaching d, where each group takes its
+    smallest candidate index with offset <= d."""
+    least = np.zeros(len(anchors))
+    for mb, (keys, lo, _) in zip(members, runs):
+        least = np.maximum(least, mb.stats[0, keys[lo] % len(keys)] - anchors)
+    d = least.min()
+    at = np.flatnonzero(least == d)[-1]
+    pick = []
+    for mb, (keys, lo, hi) in zip(members, runs):
+        pos = keys[lo[at]:hi[at]] % len(keys)
+        pick.append(int(mb.idx[pos][mb.stats[0, pos] - anchors[at] <= d].min()))
+    return float(d), tuple(pick)
 
 
 def _box_scan(members, eps, caps=None):

@@ -47,6 +47,21 @@ def scores_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture
+def undecodable_scores(tmp_path):
+    # the undecodable byte lies past the first chunk of text decoded
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"score,label,group\n" + b"0.25,0,a\n0.75,1,b\n" * 5000
+                     + b"0.5,1,\xff\n")
+    return path
+
+
+def assert_scores_not_utf8(path, capsys):
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: scores is not UTF-8 text")
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def enforce_dir(tmp_path_factory, scores_path):
     out = tmp_path_factory.mktemp("enforce")
@@ -202,6 +217,12 @@ class TestEnforce:
         assert main(["enforce", "--scores", str(tmp_path / "nope.csv"),
                      "--constraint", "none", "--out", str(tmp_path / "x")]) == 3
 
+    def test_scores_not_utf8_is_data_error(self, undecodable_scores, tmp_path,
+                                           capsys):
+        assert main(["enforce", "--scores", str(undecodable_scores),
+                     "--constraint", "none", "--out", str(tmp_path / "x")]) == 3
+        assert_scores_not_utf8(undecodable_scores, capsys)
+
     def test_infeasible_constraint_exit_code(self, tmp_path, capsys):
         # group a has no positive rows, so a tpr floor cannot be met
         scored = scored_from_arrays(np.array([0.2, 0.4, 0.3, 0.9]),
@@ -283,6 +304,13 @@ class TestAudit:
     def test_policy_required(self, scores_path, tmp_path):
         assert main(["audit", "--scores", str(scores_path),
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_scores_not_utf8_is_data_error(self, undecodable_scores,
+                                           enforce_dir, tmp_path, capsys):
+        assert main(["audit", "--scores", str(undecodable_scores), "--policy",
+                     str(enforce_dir / "policy.json"),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert_scores_not_utf8(undecodable_scores, capsys)
 
 
 class TestConfigResolution:

@@ -31,6 +31,7 @@ from levelup import (
 from conftest import random_small_scored
 from levelup import frontier as frontier_module
 from levelup import policy as policy_module
+from levelup.scoring import SCORE_CLAMP
 
 DP = FairnessMeasure.DEMOGRAPHIC_PARITY
 EO = FairnessMeasure.EQUAL_OPPORTUNITY
@@ -108,6 +109,73 @@ class TestCandidateThresholds:
             distinct = np.unique(own)
             assert any(not a < (a + b) / 2.0 for a, b in zip(distinct, distinct[1:]))
             assert candidate_thresholds(s, g).tolist() == oracle.candidate_grid(own)
+
+
+class TestCandidateTables:
+    """Every group's table equals the oracle's grid and row tallies."""
+
+    @staticmethod
+    def check(scored):
+        tables = policy_module._build_tables(scored)
+        assert len(tables) == scored.n_groups
+        for g, table in enumerate(tables):
+            rows = scored.groups == g
+            s, y = scored.scores[rows], scored.labels[rows]
+            assert table.thresholds.tolist() == oracle.candidate_grid(s)
+            tallies = [oracle.tally(s, y, t) for t in table.thresholds]
+            assert table.tp.tolist() == [tp for tp, _, _, _ in tallies]
+            assert table.fp.tolist() == [fp for _, fp, _, _ in tallies]
+            pos = int(np.sum(y == 1))
+            assert (table.n, table.pos, table.neg) == (len(s), pos, len(s) - pos)
+
+    @pytest.mark.parametrize("decimals", [1, 2, 3])
+    def test_tied_scores(self, decimals):
+        rng = np.random.default_rng(40 + decimals)
+        for _ in range(4):
+            n, n_groups = int(rng.integers(20, 200)), int(rng.integers(2, 5))
+            scores = np.round(rng.random(n), decimals)
+            labels = (rng.random(n) < scores).astype(int)
+            groups = np.concatenate([np.arange(n_groups),
+                                     rng.integers(0, n_groups, n - n_groups)])
+            self.check(scored_from_arrays(scores, labels, groups,
+                                          tuple(f"g{g}" for g in range(n_groups))))
+
+    def test_runs_of_adjacent_floats(self):
+        rng = np.random.default_rng(44)
+        runs = [rng.random(30) * 0.9 + 0.05]
+        for _ in range(4):
+            runs.append(np.nextafter(runs[-1], 1.0))
+        scores = np.concatenate(runs)
+        labels = rng.integers(0, 2, len(scores))
+        groups = rng.integers(0, 3, len(scores))
+        self.check(scored_from_arrays(scores, labels, groups, ("a", "b", "c")))
+
+    def test_clamped_scores(self):
+        # 0 and 1 clamp onto SCORE_CLAMP and 1 - SCORE_CLAMP, the extreme
+        # scores a dataset holds, next to values one float away from them
+        low, high = SCORE_CLAMP, 1.0 - SCORE_CLAMP
+        scores = [0.0, 0.0, low, np.nextafter(low, 1.0), 0.5, 1.0, 1.0, high,
+                  np.nextafter(high, 0.0), 0.0, 1.0, 0.5, low, high]
+        labels = [0, 1, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 0, 1]
+        groups = [0] * 9 + [1] * 5
+        scored = scored_from_arrays(scores, labels, groups, ("a", "b"))
+        assert {low, high} <= set(scored.scores.tolist())
+        self.check(scored)
+
+    def test_one_row_all_positive_and_all_negative_groups(self):
+        scored = scored_of([(0.3, 1, "one"),
+                            (0.2, 1, "pos"), (0.6, 1, "pos"), (0.6, 1, "pos"),
+                            (0.1, 0, "neg"), (0.9, 0, "neg"), (0.9, 0, "neg"),
+                            (0.4, 0, "mixed"), (0.7, 1, "mixed")])
+        self.check(scored)
+
+    def test_one_group_built_alone(self):
+        # a group's thresholds do not need the other groups' rows
+        scored = scored_from_arrays([0.2, 0.7, 0.4, 0.9], [0, 1, 0, 1],
+                                    [0, 0, 1, 1], ["a", "b", "c"])
+        assert candidate_thresholds(scored, 0).tolist() == oracle.candidate_grid([0.2, 0.7])
+        with pytest.raises(DataError, match="group 'c' has no rows"):
+            candidate_thresholds(scored, 2)
 
 
 class TestConstraintValidation:
