@@ -86,47 +86,78 @@ _DEFAULTS = {
 }
 
 
+_FLAGS = {
+    "out": dict(help="output directory (default: $LEVELUP_OUT or ./levelup_out)"),
+    "seed": dict(type=int, help="seed for splitting and training"),
+    "data": dict(help="input CSV path"),
+    "label_col": dict(help="label column name"),
+    "positive_label": dict(help="label value treated as positive"),
+    "group_col": dict(help="group column name"),
+    "feature_cols": dict(
+        help="comma-separated feature columns (default: all other columns)"
+    ),
+    "scores": dict(help="precomputed score,label,group CSV path"),
+    "synth_spec": dict(help="synthetic dataset spec JSON path"),
+    "eval_fraction": dict(type=float, help="held-out fraction for the split"),
+    "enforce_on": dict(
+        choices=["train", "eval"], help="split to enforce and report on"
+    ),
+    "learning_rate": dict(type=float, help="scorer learning rate"),
+    "iterations": dict(type=int, help="scorer iteration cap"),
+    "l2": dict(type=float, help="scorer L2 strength"),
+    "constraint": dict(
+        choices=["none", "min-rate", "max-rate", *MEASURE_ALIASES],
+        help="constraint kind: none, min-rate, max-rate, or an equality measure",
+    ),
+    "epsilon": dict(type=float, help="equality tolerance"),
+    "stat": dict(help="statistic for min-rate (selection_rate, tpr, tnr, precision)"),
+    "tau": dict(type=float, help="minimum rate bound"),
+    "kappa": dict(type=float, help="maximum selection rate bound"),
+    "mode": dict(choices=["equality", "min-rate"], help="frontier sweep kind"),
+    "measure": dict(choices=list(MEASURE_ALIASES), help="equality measure"),
+    "resolution": dict(type=int, help="number of sweep points"),
+    "policy": dict(help="policy JSON path"),
+    "baseline_policy": dict(
+        help="baseline policy JSON path (default: unconstrained fit)"
+    ),
+    "tolerance": dict(type=float, help="audit flag tolerance"),
+}
+
+
 def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "out": dict(help="output directory (default: $LEVELUP_OUT or ./levelup_out)"),
-        "seed": dict(type=int, help="seed for splitting and training"),
-        "data": dict(help="input CSV path"),
-        "label_col": dict(help="label column name"),
-        "positive_label": dict(help="label value treated as positive"),
-        "group_col": dict(help="group column name"),
-        "feature_cols": dict(
-            help="comma-separated feature columns (default: all other columns)"
-        ),
-        "scores": dict(help="precomputed score,label,group CSV path"),
-        "synth_spec": dict(help="synthetic dataset spec JSON path"),
-        "eval_fraction": dict(type=float, help="held-out fraction for the split"),
-        "enforce_on": dict(
-            choices=["train", "eval"], help="split to enforce and report on"
-        ),
-        "learning_rate": dict(type=float, help="scorer learning rate"),
-        "iterations": dict(type=int, help="scorer iteration cap"),
-        "l2": dict(type=float, help="scorer L2 strength"),
-        "constraint": dict(
-            choices=["none", "min-rate", "max-rate", *MEASURE_ALIASES],
-            help="constraint kind: none, min-rate, max-rate, or an equality measure",
-        ),
-        "epsilon": dict(type=float, help="equality tolerance"),
-        "stat": dict(help="statistic for min-rate (selection_rate, tpr, tnr, precision)"),
-        "tau": dict(type=float, help="minimum rate bound"),
-        "kappa": dict(type=float, help="maximum selection rate bound"),
-        "mode": dict(choices=["equality", "min-rate"], help="frontier sweep kind"),
-        "measure": dict(choices=list(MEASURE_ALIASES), help="equality measure"),
-        "resolution": dict(type=int, help="number of sweep points"),
-        "policy": dict(help="policy JSON path"),
-        "baseline_policy": dict(
-            help="baseline policy JSON path (default: unconstrained fit)"
-        ),
-        "tolerance": dict(type=float, help="audit flag tolerance"),
-    }
     sub.add_argument("--config", help="flat JSON config file")
     for name in names:
         sub.add_argument(f"--{name.replace('_', '-')}", default=None,
-                        dest=name, **flags[name])
+                        dest=name, **_FLAGS[name])
+
+
+def _check_config_value(key: str, value) -> None:
+    """A UsageError naming the key when a config value does not fit its
+    flag: a number (not a bool) for a float flag, an integer (not a bool)
+    for an int flag, otherwise a string, one of the choices where the flag
+    has them; feature_cols may also be a list of strings.  null is
+    accepted where the default is null."""
+    if value is None and _DEFAULTS[key] is None:
+        return
+    flag = _FLAGS[key]
+    kind = flag.get("type", str)
+    if kind is float:
+        want, ok = "a number", isinstance(value, (int, float))
+    elif kind is int:
+        want, ok = "an integer", isinstance(value, int)
+    elif key == "feature_cols":
+        want = "a string or a list of strings"
+        ok = isinstance(value, str) or (
+            isinstance(value, list) and all(isinstance(c, str) for c in value))
+    else:
+        want, ok = "a string", isinstance(value, str)
+    if not ok or isinstance(value, bool):
+        raise UsageError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
+    if "choices" in flag and value not in flag["choices"]:
+        raise UsageError(
+            f"config key {key!r} must be one of {', '.join(flag['choices'])}, "
+            f"got {json.dumps(value)}"
+        )
 
 
 def _resolve_config(args: argparse.Namespace, needed: tuple[str, ...]) -> dict:
@@ -142,6 +173,7 @@ def _resolve_config(args: argparse.Namespace, needed: tuple[str, ...]) -> dict:
                 raise UsageError(
                     f"config key {key!r} does not apply to this command"
                 )
+            _check_config_value(key, value)
             cfg[key] = value
     for key in needed:
         override = getattr(args, key, None)
@@ -234,7 +266,10 @@ def _schema_for(cfg: dict) -> CsvSchema:
 
 def _load_dataset(cfg: dict):
     if cfg.get("data"):
-        return load_csv(cfg["data"], _schema_for(cfg))
+        try:
+            return load_csv(cfg["data"], _schema_for(cfg))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{cfg['data']}: data is not UTF-8 text: {exc}") from exc
     return synth_generate(_load_synth_spec(cfg["synth_spec"])).dataset
 
 
@@ -354,9 +389,9 @@ def _cmd_train(cfg: dict, outdir: Path) -> list[str]:
 def _cmd_enforce(cfg: dict, outdir: Path) -> list[str]:
     constraint = _build_constraint(cfg)
     scored, split_label = _resolve_scored(cfg)
-    tables = P._build_tables(scored)
-    result = P._enforce(scored, tables, constraint)
-    baseline = P._enforce(scored, tables, P.Unconstrained())
+    problem = P._Problem(scored)
+    result = P._enforce(problem, constraint)
+    baseline = P._enforce(problem, P.Unconstrained())
     prov = result.policy.provenance
     report = A.build_report(
         baseline.metrics,

@@ -31,7 +31,7 @@ from .policy import (
     ThresholdPolicy,
     Unconstrained,
     _EqualitySearch,
-    _build_tables,
+    _Problem,
     _enforce,
     policy_from_json_dict,
     policy_to_json_dict,
@@ -180,15 +180,15 @@ def equality_frontier(
     enforce(Equality(measure, eps)) at each epsilon in ascending order.
     """
     _check_resolution(resolution)
-    tables = _build_tables(scored)
-    uncon = _enforce(scored, tables, Unconstrained())
+    problem = _Problem(scored)
+    uncon = _enforce(problem, Unconstrained())
     d0 = M.disparity(uncon.metrics, measure)
     if d0 is None:
         raise DataError(
             f"disparity of {measure.value} is undefined under the "
             "unconstrained policy; no frontier exists"
         )
-    search = _EqualitySearch(scored, tables, Equality(measure, d0))
+    search = _EqualitySearch(problem, Equality(measure, d0))
     raw: list[FrontierPoint] = []
     skipped: list[str] = []
     for eps in np.linspace(0.0, d0, resolution)[::-1]:
@@ -226,8 +226,8 @@ def mrc_frontier(
     and noted, not silently dropped.
     """
     _check_resolution(resolution)
-    tables = _build_tables(scored)
-    uncon = _enforce(scored, tables, Unconstrained())
+    problem = _Problem(scored)
+    uncon = _enforce(problem, Unconstrained())
     vals = uncon.metrics.values(statistic)
     if any(v is None for v in vals):
         raise DataError(
@@ -239,7 +239,7 @@ def mrc_frontier(
     skipped: list[str] = []
     for tau in np.linspace(lo, 1.0, resolution):
         try:
-            res = _enforce(scored, tables, MinimumRate(statistic, float(tau)))
+            res = _enforce(problem, MinimumRate(statistic, float(tau)))
         except InfeasibleConstraintError as exc:
             skipped.append(f"tau={float(tau):.6g}: {exc}")
             continue

@@ -23,6 +23,15 @@ never lists the tied combinations (see the window search section
 below).  Provenance.approximate stays in the file format for old policy
 files and is always false.
 
+Problem.  Each enforce, level-up, frontier and CLI enforce works on one
+_Problem: the scored dataset, its candidate tables, the unconstrained
+picks and, per group, the correct count and each statistic the
+constraint reads at every candidate.  Each array is computed once, on
+first use, and statistics come from the one numerator and denominator
+definition in metrics (NaN here where metrics reports None).  Every
+returned policy is re-tallied from the rows, and each group's four
+confusion cells in the tally must equal its candidate table's.
+
 Levelling-up floor.  MinimumRate enforcement never returns a policy in
 which any group's constrained statistic falls below the value that group
 gets under Unconstrained: the feasible set is statistic >= max(tau,
@@ -190,42 +199,6 @@ class _GroupTable:
     def m(self) -> int:
         return len(self.thresholds)
 
-    @property
-    def fn(self) -> np.ndarray:
-        return self.pos - self.tp
-
-    @property
-    def tn(self) -> np.ndarray:
-        return self.neg - self.fp
-
-    @property
-    def correct(self) -> np.ndarray:
-        return self.tp + self.tn
-
-    def stat(self, name: str) -> np.ndarray:
-        """Statistic at every candidate; NaN where UNDEFINED."""
-        tp, fp = self.tp.astype(np.float64), self.fp.astype(np.float64)
-        tn, fn = self.tn.astype(np.float64), self.fn.astype(np.float64)
-        if name == "selection_rate":
-            return (tp + fp) / self.n
-        if name == "accuracy":
-            return (tp + tn) / self.n
-        if name == "tpr":
-            return tp / self.pos if self.pos else np.full(self.m, np.nan)
-        if name == "fnr":
-            return fn / self.pos if self.pos else np.full(self.m, np.nan)
-        if name == "tnr":
-            return tn / self.neg if self.neg else np.full(self.m, np.nan)
-        if name == "fpr":
-            return fp / self.neg if self.neg else np.full(self.m, np.nan)
-        if name == "precision":
-            den = tp + fp
-            return np.where(den > 0, tp / np.where(den > 0, den, 1.0), np.nan)
-        if name == "npv":
-            den = tn + fn
-            return np.where(den > 0, tn / np.where(den > 0, den, 1.0), np.nan)
-        raise DataError(f"unknown statistic {name!r}")
-
 
 def _group_table(scored: ScoredDataset, gid: int) -> _GroupTable:
     """Candidate table of one group's rows.
@@ -269,6 +242,50 @@ def candidate_thresholds(scored: ScoredDataset, gid: int) -> np.ndarray:
     if not 0 <= gid < scored.n_groups:
         raise DataError(f"no group with id {gid}")
     return _group_table(scored, gid).thresholds
+
+
+def _correct_array(table: _GroupTable) -> np.ndarray:
+    """Correctly classified rows at every candidate: tp + tn."""
+    return table.tp + (table.neg - table.fp)
+
+
+def _stat_array(table: _GroupTable, name: str) -> np.ndarray:
+    """The statistic at every candidate, from metrics' one definition of
+    it; NaN where UNDEFINED."""
+    num, den = M._RATIOS[name](table.tp, table.fp, table.neg - table.fp, table.pos - table.tp)
+    return np.divide(num, den, out=np.full(table.m, np.nan), where=den != 0)
+
+
+class _Problem:
+    """One scored dataset as a search problem, shared by every search,
+    level-up walk and _finish of one call or sweep.
+
+    It holds the candidate tables, the correct counts and each statistic
+    at every candidate, and the unconstrained picks.  An array is
+    computed on first use and then kept, so only the arrays the
+    constraints read are held: 8 bytes per candidate each.
+    """
+
+    def __init__(self, scored: ScoredDataset):
+        self.scored = scored
+        self.tables = _build_tables(scored)
+        self._correct = {}
+        self._stats = {}
+
+    def correct(self, g: int) -> np.ndarray:
+        if g not in self._correct:
+            self._correct[g] = _correct_array(self.tables[g])
+        return self._correct[g]
+
+    def stat(self, g: int, name: str) -> np.ndarray:
+        if (g, name) not in self._stats:
+            self._stats[g, name] = _stat_array(self.tables[g], name)
+        return self._stats[g, name]
+
+    @functools.cached_property
+    def uncon(self) -> tuple[int, ...]:
+        """Per group, the first candidate classifying the most rows correctly."""
+        return tuple(int(np.argmax(self.correct(g))) for g in range(len(self.tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +339,17 @@ class _Members:
         return np.where(R > L, best, -1)
 
 
-def _members(tables, stat_names, subsets=None) -> list[_Members]:
+def _members(problem, stat_names, subsets=None) -> list[_Members]:
     """Per group, the candidates (all, or those in subsets[g]) to search."""
     out = []
-    for g, t in enumerate(tables):
-        stats = np.stack([t.stat(name) for name in stat_names])
+    for g, t in enumerate(problem.tables):
         idx = np.arange(t.m) if subsets is None else subsets[g]
-        idx = idx[~np.isnan(stats[:, idx]).any(axis=0)]
-        idx = idx[np.lexsort(stats[::-1, idx])]
-        out.append(_Members(idx, stats[:, idx], t.correct[idx]))
+        stats = np.stack([problem.stat(g, name)[idx] for name in stat_names])
+        keep = ~np.isnan(stats).any(axis=0)
+        idx, stats = idx[keep], stats[:, keep]
+        order = np.lexsort(stats[::-1])
+        idx = idx[order]
+        out.append(_Members(idx, stats[:, order], problem.correct(g)[idx]))
     return out
 
 
@@ -523,11 +542,7 @@ def _min_disparity(members) -> float:
 # ---------------------------------------------------------------------------
 # separable constraints: per-group feasible sets
 
-def _unconstrained_indices(tables) -> tuple[int, ...]:
-    return tuple(int(np.argmax(t.correct)) for t in tables)
-
-
-def _separable_search(tables, per_group_feasible, stat):
+def _separable_search(problem, per_group_feasible, stat):
     """Exact search when both objective and constraint split across groups.
 
     Each group keeps its accuracy-tied finalists, and every combination of
@@ -535,22 +550,25 @@ def _separable_search(tables, per_group_feasible, stat):
     them by the tie-break.
     """
     finalist_sets = []
-    for g, t in enumerate(tables):
-        feas = per_group_feasible[g]
+    for g, feas in enumerate(per_group_feasible):
         if not np.any(feas):
             return None, g
-        c = np.where(feas, t.correct, -1)
+        c = np.where(feas, problem.correct(g), -1)
         finalist_sets.append(np.flatnonzero(c == c.max()))
     if all(len(s) == 1 for s in finalist_sets):
         return tuple(int(s[0]) for s in finalist_sets), None
-    return _window_search(_members(tables, (stat,), finalist_sets), math.inf)[2], None
+    return _window_search(_members(problem, (stat,), finalist_sets), math.inf)[2], None
 
 
 # ---------------------------------------------------------------------------
 # enforce
 
-def _finish(scored, tables, picks, constraint_name, parameters, search, note=""):
-    thresholds = tuple(float(tables[g].thresholds[picks[g]]) for g in range(len(tables)))
+def _finish(problem, picks, constraint_name, parameters, search, note=""):
+    """The result of the picks, with its metrics from a direct tally of the
+    rows; a RuntimeError when any group's four confusion cells in the
+    tally differ from its candidate table's."""
+    scored, tables = problem.scored, problem.tables
+    thresholds = tuple(float(t.thresholds[p]) for t, p in zip(tables, picks))
     policy = ThresholdPolicy(
         thresholds=thresholds,
         group_names=tuple(scored.group_names),
@@ -562,13 +580,18 @@ def _finish(scored, tables, picks, constraint_name, parameters, search, note="")
         ),
     )
     counts = M.confusion(scored, policy)
-    gm = M.group_metrics(counts)
+    for g, (t, p) in enumerate(zip(tables, picks)):
+        tp, fp = int(t.tp[p]), int(t.fp[p])
+        cells = (tp, fp, t.neg - fp, t.pos - tp)
+        tally = (counts.tp[g], counts.fp[g], counts.tn[g], counts.fn[g])
+        if cells != tally:
+            raise RuntimeError(
+                f"group {scored.group_names[g]!r}: candidate table counts "
+                f"tp, fp, tn, fn {cells}, tally {tally}"
+            )
     correct = sum(counts.tp) + sum(counts.tn)
-    expected = sum(int(tables[g].correct[picks[g]]) for g in range(len(tables)))
-    if correct != expected:
-        raise RuntimeError(f"candidate table counts {expected} correct, tally {correct}")
     return EnforcementResult(
-        policy=policy, metrics=gm, accuracy=correct / scored.n_rows
+        policy=policy, metrics=M.group_metrics(counts), accuracy=correct / scored.n_rows
     )
 
 
@@ -579,33 +602,30 @@ def enforce(scored: ScoredDataset, constraint: Constraint) -> EnforcementResult:
     it, naming the blocking group when a per-group requirement is the
     cause.
     """
-    return _enforce(scored, _build_tables(scored), constraint)
+    return _enforce(_Problem(scored), constraint)
 
 
-def _enforce(scored, tables, constraint) -> EnforcementResult:
-    """enforce() on candidate tables already built from scored, so a
-    sweep builds them once."""
+def _enforce(problem, constraint) -> EnforcementResult:
+    """enforce() on a problem, so a sweep builds its tables and arrays
+    once."""
     if isinstance(constraint, Unconstrained):
-        picks = _unconstrained_indices(tables)
-        return _finish(scored, tables, picks, "unconstrained", {}, "exact-grid")
+        return _finish(problem, problem.uncon, "unconstrained", {}, "exact-grid")
 
     if isinstance(constraint, (MinimumRate, MaximumRate)):
         stat = constraint.statistic
-        base = _unconstrained_indices(tables)
-        feas = []
-        for g, t in enumerate(tables):
-            vals = t.stat(stat)
-            if isinstance(constraint, MinimumRate):
-                floor = vals[base[g]]
+        stats = [problem.stat(g, stat) for g in range(len(problem.tables))]
+        if isinstance(constraint, MinimumRate):
+            feas = []
+            for vals, pick in zip(stats, problem.uncon):
+                floor = vals[pick]
                 need = constraint.tau if np.isnan(floor) else max(constraint.tau, float(floor))
-                ok = vals >= need
-            else:
-                ok = vals <= constraint.kappa
-            feas.append(ok)
-        picks, blocked = _separable_search(tables, feas, stat)
+                feas.append(vals >= need)
+        else:
+            feas = [vals <= constraint.kappa for vals in stats]
+        picks, blocked = _separable_search(problem, feas, stat)
         if picks is None:
-            name = scored.group_names[blocked]
-            vals = tables[blocked].stat(stat)
+            name = problem.scored.group_names[blocked]
+            vals = stats[blocked]
             if np.all(np.isnan(vals)):
                 raise InfeasibleConstraintError(
                     f"{stat} is undefined for every candidate threshold of "
@@ -624,16 +644,16 @@ def _enforce(scored, tables, constraint) -> EnforcementResult:
             kind, params = "minimum_rate", {"statistic": stat, "tau": constraint.tau}
         else:
             kind, params = "maximum_rate", {"statistic": stat, "kappa": constraint.kappa}
-        return _finish(scored, tables, picks, kind, params, "exact-grid")
+        return _finish(problem, picks, kind, params, "exact-grid")
 
     if isinstance(constraint, Equality):
-        return _EqualitySearch(scored, tables, constraint).enforce(constraint.epsilon)
+        return _EqualitySearch(problem, constraint).enforce(constraint.epsilon)
 
     raise DataError(f"unknown constraint {constraint!r}")
 
 
 class _EqualitySearch:
-    """Equality for one measure on fixed candidate tables, at any epsilon.
+    """Equality for one measure on one problem, at any epsilon.
 
     The members are built once and the minimum disparity at most once, so
     a sweep over epsilon pays for neither at every point.  Feasible sets
@@ -652,10 +672,10 @@ class _EqualitySearch:
     were found at, so calls in any order return what enforce() returns.
     """
 
-    def __init__(self, scored, tables, constraint: Equality):
-        self.scored, self.tables, self.measure = scored, tables, constraint.measure
+    def __init__(self, problem, constraint: Equality):
+        self.problem, self.measure = problem, constraint.measure
         self.names = tracked_statistics(constraint.measure)
-        self.members = _members(tables, self.names)
+        self.members = _members(problem, self.names)
         if any(len(mb.idx) == 0 for mb in self.members):
             raise InfeasibleConstraintError(
                 "tracked statistic is undefined for every candidate policy"
@@ -664,15 +684,13 @@ class _EqualitySearch:
         self.last = None  # (epsilon, picks) of the last search that found picks
         self.caps, self.caps_eps = {}, math.inf  # anchor caps from searches at >= caps_eps
 
-    @functools.cached_property
-    def stats(self) -> list[np.ndarray]:
-        """Per group, the tracked statistics at every candidate."""
-        return [np.stack([t.stat(name) for name in self.names]) for t in self.tables]
-
     def satisfies(self, picks, eps) -> bool:
         """max - min of every tracked statistic at the picks is <= eps."""
-        vals = np.stack([s[:, p] for s, p in zip(self.stats, picks)])
-        return bool((vals.max(axis=0) - vals.min(axis=0) <= eps).all())
+        for name in self.names:
+            vals = np.array([self.problem.stat(g, name)[p] for g, p in enumerate(picks)])
+            if not vals.max() - vals.min() <= eps:
+                return False
+        return True
 
     def picks(self, eps):
         if self.last is not None and self.last[0] >= eps and self.satisfies(self.last[1], eps):
@@ -694,7 +712,7 @@ class _EqualitySearch:
 
     def enforce(self, eps) -> EnforcementResult:
         params = {"measure": self.measure.value, "epsilon": eps}
-        return _finish(self.scored, self.tables, self.picks(eps), "equality", params, "exact-grid")
+        return _finish(self.problem, self.picks(eps), "equality", params, "exact-grid")
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +731,13 @@ def _level_single_group(vals, start_idx, target):
         return start_idx, True
 
     def nearest(mask):
-        # flatnonzero is ascending, so argmin takes the lower index on ties
-        idx = np.flatnonzero(mask)
-        return int(idx[np.argmin(np.abs(idx - start_idx))])
+        # the first True on each side of the start, the lower one on a tie
+        up, down = mask[start_idx:], mask[start_idx::-1]
+        hi = start_idx + int(np.argmax(up)) if up.any() else None
+        lo = start_idx - int(np.argmax(down)) if down.any() else None
+        if lo is None or (hi is not None and hi - start_idx < start_idx - lo):
+            return hi
+        return lo
 
     reach = vals >= target - 1e-12  # NaN compares false
     if reach.any():
@@ -723,9 +745,9 @@ def _level_single_group(vals, start_idx, target):
     return nearest(defined & (vals == np.nanmax(vals))), True
 
 
-def _check_level_up_stat(measure_or_stat, scored, tables):
-    """The statistic to level, the unconstrained picks and their values
-    of it; a DataError when levelling up cannot use it."""
+def _check_level_up_stat(measure_or_stat, problem):
+    """The statistic to level and its values at the unconstrained picks;
+    a DataError when levelling up cannot use it."""
     if isinstance(measure_or_stat, FairnessMeasure):
         names = tracked_statistics(measure_or_stat)
         if len(names) != 1:
@@ -745,19 +767,16 @@ def _check_level_up_stat(measure_or_stat, scored, tables):
             raise DataError(
                 f"level-up statistic must be one of {MIN_RATE_STATISTICS}"
             )
-    uncon = _unconstrained_indices(tables)
-    uncon_vals = []
-    for g, t in enumerate(tables):
-        vals = t.stat(stat)
-        if np.all(np.isnan(vals)):
+    for g in range(len(problem.tables)):
+        if np.all(np.isnan(problem.stat(g, stat))):
             raise DataError(
                 f"{stat} is undefined for every threshold of group "
-                f"{scored.group_names[g]!r}"
+                f"{problem.scored.group_names[g]!r}"
             )
-        uncon_vals.append(float(vals[uncon[g]]))
+    uncon_vals = [float(problem.stat(g, stat)[p]) for g, p in enumerate(problem.uncon)]
     if any(np.isnan(v) for v in uncon_vals):
         raise DataError(f"{stat} undefined under the unconstrained policy")
-    return stat, uncon, uncon_vals
+    return stat, uncon_vals
 
 
 def partial_level_up(
@@ -775,28 +794,29 @@ def partial_level_up(
     clamped from below at each group's own Unconstrained value, so no
     group is ever moved backwards.
     """
-    tables = _build_tables(scored)
-    stat, uncon, uncon_vals = _check_level_up_stat(measure, scored, tables)
+    problem = _Problem(scored)
+    stat, uncon_vals = _check_level_up_stat(measure, problem)
+    uncon = problem.uncon
     top = max(uncon_vals)
     if all(v == top for v in uncon_vals):
         picks = uncon
         note = "all groups already level; unconstrained policy returned"
         residual = False
     else:
-        eq = _enforce(scored, tables, Equality(measure, epsilon))
+        eq = _enforce(problem, Equality(measure, epsilon))
         eq_vals = eq.metrics.values(stat)
         picks = list(uncon)
         residual = False
-        for g in range(len(tables)):
+        for g in range(len(uncon)):
             if uncon_vals[g] == top:
                 continue
             target = max(float(eq_vals[g]), uncon_vals[g])
-            picks[g], missed = _level_single_group(tables[g].stat(stat), uncon[g], target)
+            picks[g], missed = _level_single_group(problem.stat(g, stat), uncon[g], target)
             residual = residual or missed
         picks = tuple(picks)
         note = "target level unreachable on the grid for some group" if residual else ""
     return _finish(
-        scored, tables, picks, "partial_level_up",
+        problem, picks, "partial_level_up",
         {"measure": measure.value, "epsilon": epsilon, "statistic": stat},
         "grid-walk", note=note,
     )
@@ -810,20 +830,20 @@ def full_level_up(scored: ScoredDataset, statistic: str) -> EnforcementResult:
     value at or above the group's own Unconstrained level is used and the
     residual gap is recorded in the provenance note.
     """
-    tables = _build_tables(scored)
-    stat, uncon, uncon_vals = _check_level_up_stat(statistic, scored, tables)
+    problem = _Problem(scored)
+    stat, uncon_vals = _check_level_up_stat(statistic, problem)
     target = max(uncon_vals)
-    picks = list(uncon)
+    picks = list(problem.uncon)
     gaps = []
-    for g in range(len(tables)):
-        if uncon_vals[g] == target:
+    for g, value in enumerate(uncon_vals):
+        if value == target:
             continue
-        picks[g], missed = _level_single_group(tables[g].stat(stat), uncon[g], target)
+        picks[g], missed = _level_single_group(problem.stat(g, stat), problem.uncon[g], target)
         if missed:
-            achieved = float(tables[g].stat(stat)[picks[g]])
+            achieved = float(problem.stat(g, stat)[picks[g]])
             gaps.append(f"{scored.group_names[g]}: residual gap {target - achieved:.6g}")
     return _finish(
-        scored, tables, tuple(picks), "full_level_up",
+        problem, tuple(picks), "full_level_up",
         {"statistic": stat, "target": target},
         "grid-walk", note="; ".join(gaps),
     )

@@ -27,7 +27,7 @@ from levelup import (
     scored_from_arrays,
 )
 from levelup.frontier import _check_resolution, _dedup, _point
-from levelup.policy import _build_tables, _enforce
+from levelup.policy import _Problem, _enforce
 
 REJECT_ALL = 1.5
 
@@ -90,6 +90,7 @@ def stat_from_counts(counts, name):
     pairs = {
         "selection_rate": (tp + fp, tp + fp + fn + tn),
         "tpr": (tp, tp + fn),
+        "fnr": (fn, tp + fn),
         "tnr": (tn, tn + fp),
         "fpr": (fp, fp + tn),
         "precision": (tp, tp + fp),
@@ -229,8 +230,8 @@ def equality_frontier(scored, measure, resolution=50):
     linspace(0, unconstrained disparity, resolution), a fresh enforce at
     each point, the unconstrained policy first among the raw points."""
     _check_resolution(resolution)
-    tables = _build_tables(scored)
-    uncon = _enforce(scored, tables, Unconstrained())
+    problem = _Problem(scored)
+    uncon = _enforce(problem, Unconstrained())
     d0 = disparity(uncon.metrics, measure)
     if d0 is None:
         raise DataError(
@@ -241,7 +242,7 @@ def equality_frontier(scored, measure, resolution=50):
     skipped = []
     for eps in np.linspace(0.0, d0, resolution):
         try:
-            res = _enforce(scored, tables, Equality(measure, float(eps)))
+            res = _enforce(problem, Equality(measure, float(eps)))
         except InfeasibleConstraintError as exc:
             skipped.append(f"epsilon={float(eps):.6g}: {exc}")
             continue

@@ -128,6 +128,19 @@ class TestTrain:
         assert "sex" not in joined
         assert "income" not in joined
 
+    @pytest.mark.parametrize("features", [[], ["--feature-cols", "x"]],
+                             ids=["header", "rows"])
+    def test_data_not_utf8_is_data_error(self, tmp_path, capsys, features):
+        # without --feature-cols the header read meets the bad byte first
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"x,y,g\n" + b"0.5,1,a\n0.25,0,b\n" * 20 + b"0.75,1,\xff\n")
+        assert main(["train", "--data", str(data), "--label-col", "y",
+                     "--positive-label", "1", "--group-col", "g", *features,
+                     "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data}: data is not UTF-8 text")
+        assert "Traceback" not in err
+
     def test_needs_exactly_one_source(self, spec_path, tmp_path):
         assert main(["train", "--out", str(tmp_path / "x")]) == 2
         assert main(["train", "--synth-spec", str(spec_path),
@@ -350,6 +363,44 @@ class TestConfigResolution:
                      str(config), "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {config}: config is not UTF-8 text")
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("enforce", {"constraint": "dp", "epsilon": "0.1"}, "epsilon"),
+        ("enforce", {"constraint": "min-rate", "tau": "0.1", "stat": "tpr"}, "tau"),
+        ("enforce", {"constraint": "none", "tolerance": "x"}, "tolerance"),
+        ("enforce", {"constraint": "max-rate", "kappa": True}, "kappa"),
+        ("enforce", {"constraint": "bogus"}, "constraint"),
+        ("enforce", {"constraint": "min-rate", "tau": 0.1, "stat": 1}, "stat"),
+        ("train", {"seed": "x"}, "seed"),
+        ("train", {"seed": 1.5}, "seed"),
+        ("train", {"feature_cols": ["signal", 2]}, "feature_cols"),
+        ("train", {"iterations": None}, "iterations"),
+    ], ids=["epsilon", "tau", "tolerance", "bool", "choice", "string", "seed",
+            "float-seed", "feature-list", "null"])
+    def test_wrongly_typed_value_is_usage_error(self, scores_path, spec_path,
+                                                tmp_path, capsys, command,
+                                                config, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        source = (["--scores", str(scores_path)] if command == "enforce"
+                  else ["--synth-spec", str(spec_path)])
+        assert main([command, *source, "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: config key {key!r} must be ")
+        assert "Traceback" not in err
+
+    def test_typed_values_are_accepted(self, scores_path, spec_path, tmp_path):
+        # an integer is a number; null restates a null default
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"constraint": "max-rate", "kappa": 1,
+                                    "tolerance": 0, "epsilon": None}))
+        assert main(["enforce", "--scores", str(scores_path), "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 0
+        path.write_text(json.dumps({"seed": 3, "iterations": 50,
+                                    "feature_cols": ["signal"]}))
+        assert main(["train", "--synth-spec", str(spec_path), "--config", str(path),
+                     "--out", str(tmp_path / "y")]) == 0
 
     def test_out_env_var_fallback(self, spec_path, tmp_path, monkeypatch):
         target = tmp_path / "from_env"

@@ -218,8 +218,7 @@ class TestEqualitySweep:
             scored = random_small_scored(rng, n_groups=int(rng.integers(2, 4)),
                                          max_distinct=8)
             measure = ENFORCEABLE[i % len(ENFORCEABLE)]
-            tables = policy_module._build_tables(scored)
-            search = policy_module._EqualitySearch(scored, tables,
+            search = policy_module._EqualitySearch(policy_module._Problem(scored),
                                                    Equality(measure, 1.0))
             for eps in rng.choice(np.linspace(0.0, 0.6, 13), size=12):
                 eps = float(eps)
@@ -263,7 +262,7 @@ class TestEqualitySweep:
         inner = policy_module._finish
 
         def recorded(*args, **kwargs):
-            seen.append(args[4])
+            seen.append(args[3])
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(policy_module, "_finish", recorded)

@@ -27,10 +27,12 @@ from levelup import (
     policy_from_json_dict,
     policy_to_json_dict,
     scored_from_arrays,
+    write_scores_csv,
 )
 from conftest import random_small_scored
-from levelup import frontier as frontier_module
 from levelup import policy as policy_module
+from levelup.cli import main
+from levelup.metrics import STATISTIC_DIRECTIONS
 from levelup.scoring import SCORE_CLAMP
 
 DP = FairnessMeasure.DEMOGRAPHIC_PARITY
@@ -118,6 +120,7 @@ class TestCandidateTables:
     def check(scored):
         tables = policy_module._build_tables(scored)
         assert len(tables) == scored.n_groups
+        problem = policy_module._Problem(scored)
         for g, table in enumerate(tables):
             rows = scored.groups == g
             s, y = scored.scores[rows], scored.labels[rows]
@@ -127,6 +130,12 @@ class TestCandidateTables:
             assert table.fp.tolist() == [fp for _, fp, _, _ in tallies]
             pos = int(np.sum(y == 1))
             assert (table.n, table.pos, table.neg) == (len(s), pos, len(s) - pos)
+            # the problem's arrays: NaN exactly where the oracle's statistic
+            # is None, the oracle's value (==) everywhere else
+            assert problem.correct(g).tolist() == [tp + tn for tp, _, _, tn in tallies]
+            for name in STATISTIC_DIRECTIONS:
+                got = [None if np.isnan(v) else v for v in problem.stat(g, name).tolist()]
+                assert got == [oracle.stat_from_counts(c, name) for c in tallies], name
 
     @pytest.mark.parametrize("decimals", [1, 2, 3])
     def test_tied_scores(self, decimals):
@@ -629,7 +638,6 @@ class TestTableReuse:
             return build(scored)
 
         monkeypatch.setattr(policy_module, "_build_tables", counted)
-        monkeypatch.setattr(frontier_module, "_build_tables", counted)
         return calls
 
     def test_equality_frontier(self, builds, gap_scored):
@@ -644,6 +652,77 @@ class TestTableReuse:
         part = partial_level_up(gap_scored, DP, epsilon=0.01)
         assert "already level" not in part.policy.provenance.note
         assert len(builds) == 1
+
+
+class TestProblem:
+    """One problem per call or sweep computes each group's correct counts
+    and each statistic array the constraint reads once, and no other."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = []
+        stat_array, correct_array = policy_module._stat_array, policy_module._correct_array
+
+        def counted_stat(table, name):
+            calls.append((table, name))
+            return stat_array(table, name)
+
+        def counted_correct(table):
+            calls.append((table, "correct"))
+            return correct_array(table)
+
+        monkeypatch.setattr(policy_module, "_stat_array", counted_stat)
+        monkeypatch.setattr(policy_module, "_correct_array", counted_correct)
+        return calls
+
+    @staticmethod
+    def assert_once_each(calls, names, n_groups):
+        arrays = [(id(table), name) for table, name in calls]
+        assert len(arrays) == len(set(arrays))
+        assert sorted(name for _, name in calls) == sorted(["correct", *names] * n_groups)
+
+    @pytest.mark.parametrize("run, names", [
+        (lambda s: mrc_frontier(s, "selection_rate", 20), ["selection_rate"]),
+        (lambda s: mrc_frontier(s, "tpr", 20), ["tpr"]),
+        (lambda s: equality_frontier(s, DP, 20), ["selection_rate"]),
+        (lambda s: equality_frontier(s, ODDS, 20), ["tpr", "fpr"]),
+        (lambda s: full_level_up(s, "tpr"), ["tpr"]),
+        (lambda s: partial_level_up(s, DP, 0.01), ["selection_rate"]),
+        (lambda s: partial_level_up(s, EO, 0.01), ["tpr"]),
+    ], ids=["mrc-frontier-rate", "mrc-frontier-tpr", "equality-frontier-dp",
+            "equality-frontier-eodds", "full-level-up", "partial-level-up-dp",
+            "partial-level-up-eo"])
+    def test_each_array_computed_once(self, computed, gap_scored, run, names):
+        run(gap_scored)
+        self.assert_once_each(computed, names, gap_scored.n_groups)
+
+    @pytest.mark.parametrize("constraint, names", [
+        (["dp", "--epsilon", "0.02"], ["selection_rate"]),
+        (["eodds", "--epsilon", "0.05"], ["tpr", "fpr"]),
+        (["min-rate", "--stat", "tpr", "--tau", "0.6"], ["tpr"]),
+        (["max-rate", "--kappa", "0.3"], ["selection_rate"]),
+    ], ids=["dp", "eodds", "min-rate", "max-rate"])
+    def test_cli_enforce_computes_each_array_once(self, computed, gap_scored, tmp_path,
+                                                  constraint, names):
+        # the constraint and its Unconstrained baseline share one problem
+        path = tmp_path / "scores.csv"
+        write_scores_csv(gap_scored, path)
+        assert main(["enforce", "--scores", str(path), "--constraint", *constraint,
+                     "--out", str(tmp_path / "out")]) == 0
+        self.assert_once_each(computed, names, gap_scored.n_groups)
+
+    def test_finish_compares_every_confusion_cell(self, gap_scored):
+        problem = policy_module._Problem(gap_scored)
+        picks = problem.uncon
+        result = policy_module._finish(problem, picks, "unconstrained", {}, "exact-grid")
+        assert result == enforce(gap_scored, Unconstrained())
+        # one more true and one more false positive leave the correct count
+        table = problem.tables[1]
+        table.tp[picks[1]] += 1
+        table.fp[picks[1]] += 1
+        assert problem.correct(1)[picks[1]] == table.tp[picks[1]] + table.neg - table.fp[picks[1]]
+        with pytest.raises(RuntimeError, match="group 'b': candidate table counts"):
+            policy_module._finish(problem, picks, "unconstrained", {}, "exact-grid")
 
 
 class TestSerialization:
