@@ -57,38 +57,9 @@ MEASURE_ALIASES = {
     "te": FairnessMeasure.TREATMENT_EQUALITY,
 }
 
-_DEFAULTS = {
-    "out": None,
-    "seed": 0,
-    "data": None,
-    "label_col": None,
-    "positive_label": None,
-    "group_col": None,
-    "feature_cols": None,
-    "scores": None,
-    "synth_spec": None,
-    "eval_fraction": 0.3,
-    "enforce_on": "train",
-    "learning_rate": 1.0,
-    "iterations": 5000,
-    "l2": 1e-4,
-    "constraint": None,
-    "epsilon": None,
-    "stat": None,
-    "tau": None,
-    "kappa": None,
-    "mode": None,
-    "measure": None,
-    "resolution": 50,
-    "policy": None,
-    "baseline_policy": None,
-    "tolerance": A.DEFAULT_TOLERANCE,
-}
-
-
 _FLAGS = {
     "out": dict(help="output directory (default: $LEVELUP_OUT or ./levelup_out)"),
-    "seed": dict(type=int, help="seed for splitting and training"),
+    "seed": dict(type=int, default=0, help="seed for splitting and training"),
     "data": dict(help="input CSV path"),
     "label_col": dict(help="label column name"),
     "positive_label": dict(help="label value treated as positive"),
@@ -98,13 +69,14 @@ _FLAGS = {
     ),
     "scores": dict(help="precomputed score,label,group CSV path"),
     "synth_spec": dict(help="synthetic dataset spec JSON path"),
-    "eval_fraction": dict(type=float, help="held-out fraction for the split"),
+    "eval_fraction": dict(type=float, default=0.3, help="held-out fraction for the split"),
     "enforce_on": dict(
-        choices=["train", "eval"], help="split to enforce and report on"
+        choices=["train", "eval"], default="train",
+        help="split to enforce and report on",
     ),
-    "learning_rate": dict(type=float, help="scorer learning rate"),
-    "iterations": dict(type=int, help="scorer iteration cap"),
-    "l2": dict(type=float, help="scorer L2 strength"),
+    "learning_rate": dict(type=float, default=1.0, help="scorer learning rate"),
+    "iterations": dict(type=int, default=5000, help="scorer iteration cap"),
+    "l2": dict(type=float, default=1e-4, help="scorer L2 strength"),
     "constraint": dict(
         choices=["none", "min-rate", "max-rate", *MEASURE_ALIASES],
         help="constraint kind: none, min-rate, max-rate, or an equality measure",
@@ -115,20 +87,21 @@ _FLAGS = {
     "kappa": dict(type=float, help="maximum selection rate bound"),
     "mode": dict(choices=["equality", "min-rate"], help="frontier sweep kind"),
     "measure": dict(choices=list(MEASURE_ALIASES), help="equality measure"),
-    "resolution": dict(type=int, help="number of sweep points"),
+    "resolution": dict(type=int, default=50, help="number of sweep points"),
     "policy": dict(help="policy JSON path"),
     "baseline_policy": dict(
         help="baseline policy JSON path (default: unconstrained fit)"
     ),
-    "tolerance": dict(type=float, help="audit flag tolerance"),
+    "tolerance": dict(type=float, default=A.DEFAULT_TOLERANCE, help="audit flag tolerance"),
 }
 
 
 def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
     sub.add_argument("--config", help="flat JSON config file")
     for name in names:
-        sub.add_argument(f"--{name.replace('_', '-')}", default=None,
-                        dest=name, **_FLAGS[name])
+        # default None, so only a flag actually given overrides the config
+        sub.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                         **dict(_FLAGS[name], default=None))
 
 
 def _check_config_value(key: str, value) -> None:
@@ -137,7 +110,7 @@ def _check_config_value(key: str, value) -> None:
     for an int flag, otherwise a string, one of the choices where the flag
     has them; feature_cols may also be a list of strings.  null is
     accepted where the default is null."""
-    if value is None and _DEFAULTS[key] is None:
+    if value is None and _FLAGS[key].get("default") is None:
         return
     flag = _FLAGS[key]
     kind = flag.get("type", str)
@@ -161,13 +134,13 @@ def _check_config_value(key: str, value) -> None:
 
 
 def _resolve_config(args: argparse.Namespace, needed: tuple[str, ...]) -> dict:
-    cfg = {k: _DEFAULTS[k] for k in needed}
+    cfg = {k: _FLAGS[k].get("default") for k in needed}
     if args.config:
         loaded = _load_json(args.config, "config")
         if not isinstance(loaded, dict):
             raise UsageError("config must be a flat JSON object")
         for key, value in loaded.items():
-            if key not in _DEFAULTS:
+            if key not in _FLAGS:
                 raise UsageError(f"unknown config key {key!r}")
             if key not in cfg:
                 raise UsageError(

@@ -77,19 +77,6 @@ class FrontierResult:
     skipped: tuple[str, ...]
 
 
-def _dominates(a: FrontierPoint, b: FrontierPoint, direction: str) -> bool:
-    """True when a dominates b."""
-    if direction == "min":
-        better = a.objective_value < b.objective_value
-        no_worse = a.objective_value <= b.objective_value
-    else:
-        better = a.objective_value > b.objective_value
-        no_worse = a.objective_value >= b.objective_value
-    return (a.accuracy >= b.accuracy and better) or (
-        a.accuracy > b.accuracy and no_worse
-    )
-
-
 def pareto_prune(
     points: list[FrontierPoint], direction: str = "min"
 ) -> list[FrontierPoint]:

@@ -16,12 +16,12 @@ higher minimum group value of that statistic (the first one, for a
 measure tracking two), then the lexicographically smallest threshold
 vector.  Unconstrained has no relevant statistic, so its ties go
 straight to the lexicographic rule.  The search is exact for every
-constraint at any group count: Equality and the tie-break among
-separable finalists both use one anchored-window search, which answers
-each stage of the tie-break as an exact question on its windows and
-never lists the tied combinations (see the window search section
-below).  Provenance.approximate stays in the file format for old policy
-files and is always false.
+constraint at any group count: Equality, its minimum disparity over one
+statistic and the tie-break among separable finalists all use one
+anchored-window search, which answers each stage of the tie-break as an
+exact question on its windows and never lists the tied combinations
+(see the window search section below).  Provenance.approximate stays in
+the file format for old policy files and is always false.
 
 Problem.  Each enforce, level-up, frontier and CLI enforce works on one
 _Problem: the scored dataset, its candidate tables, the unconstrained
@@ -516,17 +516,14 @@ def _prune(members, eps):
 
 
 def _min_disparity(members) -> float:
-    """The smallest disparity any combination reaches: the least float eps
-    at which the window search finds a feasible combination."""
+    """The smallest disparity any combination reaches.  With one
+    statistic, the window search's d without a disparity bound when every
+    member counts zero correct, so every combination ties; with two, the
+    least float eps at which the window search finds a feasible
+    combination."""
     if len(members[0].stats) == 1:
-        # anchor lo needs eps >= (each group's smallest value >= lo) - lo
-        anchors = np.unique(np.concatenate([mb.stats[0] for mb in members]))
-        need = np.zeros(len(anchors))
-        for mb in members:
-            at = np.searchsorted(mb.stats[0], anchors)
-            gap = mb.stats[0][np.minimum(at, len(mb.idx) - 1)] - anchors
-            need = np.maximum(need, np.where(at < len(mb.idx), gap, np.inf))
-        return float(need.min())
+        flat = [_Members(mb.idx, mb.stats, np.zeros_like(mb.correct)) for mb in members]
+        return _window_search(flat, math.inf)[1]
     # Statistics lie in [0, 1] and non-negative floats order like their
     # bit patterns, so bisect on the bits.
     lo, hi = 0, int(np.float64(1.0).view(np.int64))
@@ -555,6 +552,8 @@ def _separable_search(problem, per_group_feasible, stat):
             return None, g
         c = np.where(feas, problem.correct(g), -1)
         finalist_sets.append(np.flatnonzero(c == c.max()))
+    # One finalist per group is the pick.  The window search returns the
+    # same, but its fixed cost per call shows in the min-rate frontier.
     if all(len(s) == 1 for s in finalist_sets):
         return tuple(int(s[0]) for s in finalist_sets), None
     return _window_search(_members(problem, (stat,), finalist_sets), math.inf)[2], None
@@ -661,10 +660,11 @@ class _EqualitySearch:
     every larger one.  So, at an epsilon smaller than earlier ones:
 
     - below the minimum disparity it is infeasible, without a search;
-    - picks found at a larger epsilon that still satisfy it are its
-      answer: they reach its best total, its feasible set is a subset of
-      the larger epsilon's, and the tie-break chain ranked the picks first
-      among the larger set's combinations reaching that total;
+    - picks found at a larger epsilon are its answer when their
+      disparity d, which the window search returned with them, is
+      within it: they reach its best total, its feasible set is a subset
+      of the larger epsilon's, and the tie-break chain ranked the picks
+      first among the larger set's combinations reaching that total;
     - a two-statistic anchor's best total found at a larger epsilon caps
       its total (see _box_scan).
 
@@ -674,35 +674,26 @@ class _EqualitySearch:
 
     def __init__(self, problem, constraint: Equality):
         self.problem, self.measure = problem, constraint.measure
-        self.names = tracked_statistics(constraint.measure)
-        self.members = _members(problem, self.names)
+        self.members = _members(problem, tracked_statistics(constraint.measure))
         if any(len(mb.idx) == 0 for mb in self.members):
             raise InfeasibleConstraintError(
                 "tracked statistic is undefined for every candidate policy"
             )
         self.min_disparity = None
-        self.last = None  # (epsilon, picks) of the last search that found picks
+        self.last = None  # (epsilon, d, picks) of the last search that found picks
         self.caps, self.caps_eps = {}, math.inf  # anchor caps from searches at >= caps_eps
 
-    def satisfies(self, picks, eps) -> bool:
-        """max - min of every tracked statistic at the picks is <= eps."""
-        for name in self.names:
-            vals = np.array([self.problem.stat(g, name)[p] for g, p in enumerate(picks)])
-            if not vals.max() - vals.min() <= eps:
-                return False
-        return True
-
     def picks(self, eps):
-        if self.last is not None and self.last[0] >= eps and self.satisfies(self.last[1], eps):
-            return self.last[1]
+        if self.last is not None and self.last[0] >= eps and self.last[1] <= eps:
+            return self.last[2]
         if self.min_disparity is None or eps >= self.min_disparity:
             if eps > self.caps_eps:
                 self.caps = {}
             self.caps_eps = eps
-            top, _, picks = _window_search(self.members, eps, self.caps)
+            top, d, picks = _window_search(self.members, eps, self.caps)
             if top >= 0:
-                self.last = (eps, picks)
-                return self.last[1]
+                self.last = (eps, d, picks)
+                return picks
             if self.min_disparity is None:
                 self.min_disparity = _min_disparity(self.members)
         raise InfeasibleConstraintError(
@@ -803,14 +794,13 @@ def partial_level_up(
         note = "all groups already level; unconstrained policy returned"
         residual = False
     else:
-        eq = _enforce(problem, Equality(measure, epsilon))
-        eq_vals = eq.metrics.values(stat)
+        eq_picks = _EqualitySearch(problem, Equality(measure, epsilon)).picks(epsilon)
         picks = list(uncon)
         residual = False
         for g in range(len(uncon)):
             if uncon_vals[g] == top:
                 continue
-            target = max(float(eq_vals[g]), uncon_vals[g])
+            target = max(float(problem.stat(g, stat)[eq_picks[g]]), uncon_vals[g])
             picks[g], missed = _level_single_group(problem.stat(g, stat), uncon[g], target)
             residual = residual or missed
         picks = tuple(picks)

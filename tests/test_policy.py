@@ -30,9 +30,10 @@ from levelup import (
     write_scores_csv,
 )
 from conftest import random_small_scored
+from levelup import metrics as metrics_module
 from levelup import policy as policy_module
 from levelup.cli import main
-from levelup.metrics import STATISTIC_DIRECTIONS
+from levelup.metrics import STATISTIC_DIRECTIONS, tracked_statistics
 from levelup.scoring import SCORE_CLAMP
 
 DP = FairnessMeasure.DEMOGRAPHIC_PARITY
@@ -403,6 +404,43 @@ class TestOracleAgreement:
                     self.check(scored, Equality(measure, eps))
 
 
+class TestSearchAnswers:
+    """The equality search reads its answers off one window search: the
+    minimum disparity is that search's d when every combination ties,
+    and a pick's d is the disparity the pick reaches.  Both equal the
+    brute-force figures exactly."""
+
+    @staticmethod
+    def cases(measure):
+        rng = np.random.default_rng(900)
+        for i in range(16):
+            n_groups = 2 + i % 2
+            scored = random_small_scored(rng, n_groups=n_groups,
+                                         max_distinct=8 if n_groups == 2 else 5)
+            problem = policy_module._Problem(scored)
+            members = policy_module._members(problem, tracked_statistics(measure))
+            if any(len(mb.idx) == 0 for mb in members):
+                assert oracle.brute_force_min_disparity(scored, measure) is None
+                continue
+            yield rng, scored, members
+
+    @pytest.mark.parametrize("measure", ENFORCEABLE, ids=lambda m: m.value)
+    def test_min_disparity_equals_brute_force(self, measure):
+        for _, scored, members in self.cases(measure):
+            got = policy_module._min_disparity(members)
+            assert got == oracle.brute_force_min_disparity(scored, measure)
+
+    @pytest.mark.parametrize("measure", ENFORCEABLE, ids=lambda m: m.value)
+    def test_d_is_the_disparity_of_the_pick(self, measure):
+        for rng, scored, members in self.cases(measure):
+            least = oracle.brute_force_min_disparity(scored, measure)
+            for eps in (least, least + float(rng.uniform(0.0, 0.3)), 1.0):
+                top, d, _ = policy_module._window_search(members, eps)
+                assert top >= 0
+                result = enforce(scored, Equality(measure, eps))
+                assert d == disparity(result.metrics, measure)
+
+
 def smallest_spread(value_lists):
     """Smallest max - min over picks of one value per list (sliding window)."""
     merged = sorted((v, g) for g, vals in enumerate(value_lists) for v in vals)
@@ -538,6 +576,21 @@ class TestLevellingUp:
             eq.metrics.values("selection_rate")[other], abs=1e-9)
         # and never falls below its own unconstrained value
         assert part.metrics.values("selection_rate")[other] >= base_vals[other] - 1e-12
+
+    def test_partial_tallies_the_rows_once(self, gap_scored, monkeypatch):
+        # the equality targets come from the search's picks; only the
+        # returned policy is tallied
+        calls = []
+        confusion = metrics_module.confusion
+
+        def counted(*args):
+            calls.append(args)
+            return confusion(*args)
+
+        monkeypatch.setattr(metrics_module, "confusion", counted)
+        part = partial_level_up(gap_scored, DP, epsilon=0.01)
+        assert "already level" not in part.policy.provenance.note
+        assert len(calls) == 1
 
     def test_partial_on_already_level_groups_is_a_no_op(self):
         rows = [(0.2, 0, "a"), (0.7, 1, "a"), (0.2, 0, "b"), (0.7, 1, "b")]
