@@ -308,11 +308,30 @@ class _Problem:
 # least offset among best-holding members; the higher minimum is the
 # largest anchor reaching d; there, each group takes its smallest
 # candidate index among best-holding members with offset <= d.
+#
+# Two statistics nest the search: at each first-statistic anchor, the
+# one-statistic search on the second statistic over the anchor's windows.
+# _box_scan answers many first-statistic anchors at once, in chunks.  A
+# chunk lays each group's windows end to end, one segment per anchor,
+# ordered by (segment, second statistic, position).  Its inner anchors are
+# the distinct (segment, second-statistic value) pairs, and their windows
+# come from searchsorted over the exact int64 keys segment * K + rank,
+# where rank is a value's index among the K distinct second-statistic
+# values; the right end is settled once per distinct value, as _windows
+# does.  No window crosses a segment, so one sparse table per group
+# answers every window maximum of the chunk.
+
+# Window members, over all groups, that one chunk of _box_scan holds at
+# most (a chunk has at least one anchor).
+_CHUNK_MEMBERS = 4096
+
 
 @dataclass
 class _Members:
     """One group's candidates whose tracked statistics are all defined,
-    sorted by (first statistic, second statistic)."""
+    sorted by (first statistic, second statistic); in a chunk of _box_scan,
+    by (segment, second statistic, position), with the first statistic's
+    offset from the segment's anchor in place of the first statistic."""
 
     idx: np.ndarray
     stats: np.ndarray  # one row per tracked statistic
@@ -320,13 +339,12 @@ class _Members:
 
     def __post_init__(self):
         # sparse[k, i] = max(correct[i:i + 2**k]), -1 past the end
-        levels = [self.correct]
-        while 2 ** len(levels) <= len(self.correct):
-            half = 2 ** (len(levels) - 1)
-            levels.append(np.maximum(levels[-1][:-half], levels[-1][half:]))
-        self.sparse = np.full((len(levels), len(self.correct)), -1, dtype=np.int64)
-        for k, level in enumerate(levels):
-            self.sparse[k, : len(level)] = level
+        n = len(self.correct)
+        self.sparse = np.full((max(n.bit_length(), 1), n), -1, dtype=np.int64)
+        self.sparse[0] = self.correct
+        for k in range(1, len(self.sparse)):
+            half, m = 1 << (k - 1), n - (1 << k) + 1
+            np.maximum(self.sparse[k - 1, :m], self.sparse[k - 1, half:half + m], out=self.sparse[k, :m])
 
     def subset(self, keep: np.ndarray) -> _Members:
         return _Members(self.idx[keep], self.stats[:, keep], self.correct[keep])
@@ -372,32 +390,28 @@ def _windows(values, anchors, eps):
         R = np.where(shrink, np.searchsorted(values, last, "left"), R)
 
 
-def _anchor_pass(members, eps):
-    """The anchors, the first-statistic windows of every group at every
-    anchor, the groups' window maxima, and each anchor's total (-1 when a
-    window is empty)."""
-    anchors = np.unique(np.concatenate([mb.stats[0] for mb in members]))
-    L, R = zip(*(_windows(mb.stats[0], anchors, eps) for mb in members))
+def _totals(members, L, R):
+    """Each group's window maxima over [L, R) and each anchor's total (-1
+    when a window is empty)."""
     best = np.stack([mb.window_max(lo, hi) for mb, lo, hi in zip(members, L, R)])
-    return anchors, L, R, best, np.where((best >= 0).all(axis=0), best.sum(axis=0), -1)
+    return best, np.where((best >= 0).all(axis=0), best.sum(axis=0), -1)
 
 
-def _window_search(members, eps, caps=None, offsets=None):
+def _window_search(members, eps, caps=None):
     """The tie-break's pick among feasible combinations of one member per
     group: (top, d, pick), where top is the best total correct, d the least
     disparity among the combinations reaching it and pick their first by
     higher minimum, then smallest candidate indices; (-1, inf, None) when
     none is feasible.
 
-    caps, for two statistics, maps first-statistic anchors to upper bounds
-    of their best total (see _box_scan).  offsets, in the inner search of
-    two statistics, holds per group each member's first-statistic offset
-    from the outer anchor; the higher minimum is then the outer search's
-    to settle, so the pick is the smallest over every anchor reaching d.
+    caps, for two statistics, holds upper bounds of first-statistic
+    anchors' best totals (see _box_scan).
     """
     if len(members[0].stats) == 2:
         return _box_scan(members, eps, caps)
-    anchors, L, R, best, total = _anchor_pass(members, eps)
+    anchors = np.unique(np.concatenate([mb.stats[0] for mb in members]))
+    L, R = zip(*(_windows(mb.stats[0], anchors, eps) for mb in members))
+    best, total = _totals(members, L, R)
     top = int(total.max())
     if top < 0:
         return -1, math.inf, None
@@ -411,22 +425,7 @@ def _window_search(members, eps, caps=None, offsets=None):
         base = best[g, tied] * m
         runs.append((keys, np.searchsorted(keys, base + L[g][tied]),
                      np.searchsorted(keys, base + R[g][tied])))
-    if offsets is None:
-        return (top, *_single_pick(members, anchors[tied], runs))
-    least, gathered = np.zeros(len(tied)), []
-    for mb, outer, (keys, lo, hi) in zip(members, offsets, runs):
-        count = hi - lo
-        start = np.cumsum(count) - count
-        pos = keys[np.arange(count.sum()) + np.repeat(lo - start, count)] % len(keys)
-        off = np.maximum(mb.stats[0, pos] - np.repeat(anchors[tied], count), outer[pos])
-        least = np.maximum(least, np.minimum.reduceat(off, start))
-        gathered.append((mb.idx[pos], off, start))
-    d = least.min()
-    at = np.flatnonzero(least == d)
-    picks = np.stack([np.minimum.reduceat(np.where(off <= d, idx, np.iinfo(np.int64).max), start)[at]
-                      for idx, off, start in gathered])
-    pick = picks[:, np.lexsort(picks[::-1])[0]]
-    return top, float(d), tuple(int(i) for i in pick)
+    return (top, *_single_pick(members, anchors[tied], runs))
 
 
 def _single_pick(members, anchors, runs):
@@ -447,45 +446,151 @@ def _single_pick(members, anchors, runs):
     return float(d), tuple(pick)
 
 
+class _Caps:
+    """Upper bounds of two-statistic anchors' best totals: the anchors,
+    sorted, and their totals (see _box_scan)."""
+
+    def __init__(self):
+        self.anchors, self.totals = np.empty(0), np.empty(0, dtype=np.int64)
+
+    def tighten(self, anchors, bound):
+        """bound, lowered to the cap of each anchor that has one."""
+        if len(self.anchors) == 0:
+            return bound
+        at = np.minimum(np.searchsorted(self.anchors, anchors), len(self.anchors) - 1)
+        return np.where(self.anchors[at] == anchors, np.minimum(bound, self.totals[at]), bound)
+
+    def record(self, anchors, totals):
+        """Cap these anchors at their exact totals."""
+        self.anchors, first = np.unique(np.concatenate([anchors, self.anchors]), return_index=True)
+        self.totals = np.concatenate([totals, self.totals])[first]
+
+
 def _box_scan(members, eps, caps=None):
     """Two statistics: for each first-statistic anchor, the one-statistic
     search on the second statistic over the anchor's windows, every member
     carrying its first-statistic offset from the anchor.
 
-    _prune first drops the members no feasible combination can use.  The
-    first-statistic pass caps each anchor's total, so anchors are visited
-    best bound first until the bound falls below the best exact total
-    found; every anchor that can reach it is searched.  The pick is the
-    smallest (d, -anchor, pick): least disparity, then the higher minimum
-    of the first statistic, then the smallest indices.  caps, when given,
-    maps anchors to their best totals found at an epsilon at least this
-    large over at least these members; no total here exceeds them, so they
-    tighten the bounds.  Every exact total found is recorded in caps.
+    _prune first drops the members no feasible combination can use, and
+    its first-statistic windows cap each anchor's total.  Anchors are
+    taken best bound first, in chunks (see _chunk_search) of 2, 4, 8, ...
+    anchors holding at most _CHUNK_MEMBERS window members, until the bound
+    falls below the best exact total found.  So every anchor that can
+    reach it is searched; the other anchors of a chunk only add exact
+    totals to caps.  The pick is the smallest (d, -anchor, pick): least
+    disparity, then the higher minimum of the first statistic, then the
+    smallest indices.  caps, when given, holds anchors' best totals found
+    at an epsilon at least this large over at least these members; no
+    total here exceeds them, so they tighten the bounds.  Every exact
+    total found is recorded in caps.
     """
-    members = _prune(members, eps)
-    if members is None:
+    pruned = _prune(members, eps)
+    if pruned is None:
         return -1, math.inf, None
-    anchors, L, R, _, bound = _anchor_pass(members, eps)
-    if caps:
-        bound = np.minimum(bound, [caps.get(a, b) for a, b in zip(anchors.tolist(), bound.tolist())])
-    top, key = -1, (math.inf, 0.0, None)
-    for a in np.argsort(-bound, kind="stable"):
-        if bound[a] < max(top, 0):
-            break
-        window, offsets = [], []
-        for mb, lo, hi in zip(members, L, R):
-            span = np.arange(lo[a], hi[a])
-            span = span[np.argsort(mb.stats[1, span], kind="stable")]
-            window.append(_Members(mb.idx[span], mb.stats[1:, span], mb.correct[span]))
-            offsets.append(mb.stats[0, span] - anchors[a])
-        best, d, pick = _window_search(window, eps, offsets=offsets)
-        if caps is not None:
-            caps[float(anchors[a])] = best
-        if best > top:
-            top, key = best, (math.inf, 0.0, None)
-        if best == top >= 0:
-            key = min(key, (d, -anchors[a], pick))
+    members, anchors, L, R = pruned
+    bound = _totals(members, L, R)[1]
+    if caps is not None:
+        bound = caps.tighten(anchors, bound)
+    order = np.argsort(-bound, kind="stable")[:np.count_nonzero(bound >= 0)]
+    descending = -bound[order]
+    # size[j] - size[i]: the window members of anchors order[i:j]
+    size = np.concatenate(([0], np.cumsum(sum(hi[order] - lo[order] for lo, hi in zip(L, R)))))
+    values = np.unique(np.concatenate([mb.stats[1] for mb in members]))
+    second = (values, _windows(values, values, eps)[1],
+              [np.searchsorted(values, mb.stats[1]) for mb in members])
+    top, key, found = -1, (math.inf, 0.0, None), []
+    i, chunk = 0, 2
+    while i < len(order) and bound[order[i]] >= max(top, 0):
+        reach = np.searchsorted(descending, -max(top, 0), "right")
+        fits = np.searchsorted(size, size[i] + _CHUNK_MEMBERS, "right") - 1
+        a = order[i:max(i + 1, min(i + chunk, reach, fits))]
+        totals, best = _chunk_search(members, anchors[a], [(lo[a], hi[a]) for lo, hi in zip(L, R)],
+                                     second, max(top, 0))
+        found.append((anchors[a], totals))
+        if best is not None:
+            if best[0] > top:
+                top, key = best
+            elif best[0] == top:
+                key = min(key, best[1])
+        i, chunk = i + len(a), 2 * chunk
+    if caps is not None and found:
+        caps.record(*map(np.concatenate, zip(*found)))
     return top, key[0], key[2]
+
+
+def _ranges(lo, count):
+    """The positions of the ranges [lo, lo + count), concatenated, and
+    where each range starts among them."""
+    start = np.cumsum(count) - count
+    return np.arange(count.sum()) + np.repeat(lo - start, count), start
+
+
+def _chunk_search(members, outer, spans, second, floor):
+    """The inner searches of one chunk of _box_scan at once.
+
+    outer holds the chunk's first-statistic anchors and spans, per group,
+    their windows [lo, hi); second holds the sorted distinct
+    second-statistic values, the end of each value's window among them,
+    and each group's members' ranks in them.  Returns each anchor's best
+    total (-1 when nothing is feasible) and, when the largest of those
+    reaches floor, (that total, the smallest (d, -anchor, pick) among the
+    anchors reaching it); None otherwise.
+    """
+    values, ends, ranks = second
+    K = len(values)
+    chunk, keys = [], []
+    for mb, rank, (lo, hi) in zip(members, ranks, spans):
+        n, count = len(mb.idx), hi - lo
+        pos = _ranges(lo, count)[0]
+        key = (np.repeat(np.arange(len(count)), count) * K + rank[pos]) * n + pos
+        key.sort()
+        pos, key = np.divmod(key, n)[::-1]
+        # the first statistic's offset from the segment's anchor in its place
+        stats = np.stack([mb.stats[0, pos] - outer[key // K], mb.stats[1, pos]])
+        chunk.append(_Members(mb.idx[pos], stats, mb.correct[pos]))
+        keys.append(key)
+    # np.unique hashes int64 keys, several times slower than this sort
+    inner = np.sort(np.concatenate(keys))
+    inner = inner[np.concatenate(([True], inner[1:] != inner[:-1]))]
+    seg, rank = np.divmod(inner, K)
+    L = [np.searchsorted(k, inner) for k in keys]
+    R = [np.searchsorted(k, seg * K + ends[rank]) for k in keys]
+    best, total = _totals(chunk, L, R)
+    # every segment holds members of every group, so it has inner anchors
+    totals = np.maximum.reduceat(total, np.searchsorted(seg, np.arange(len(outer))))
+    top = int(totals.max())
+    if top < floor:
+        return totals, None
+    # The best-holding runs of every tied inner anchor, gathered at once;
+    # a member's offset is the larger of its two.
+    tied = np.flatnonzero(total == top)
+    least, runs = np.zeros(len(tied)), []
+    for g, mb in enumerate(chunk):
+        n = len(mb.idx)
+        by_best = np.sort(mb.correct * n + np.arange(n))
+        base = best[g, tied] * n
+        lo = np.searchsorted(by_best, base + L[g][tied])
+        count = np.searchsorted(by_best, base + R[g][tied]) - lo
+        sel, start = _ranges(lo, count)
+        pos = (by_best % n)[sel]
+        off = mb.stats[1, pos] - np.repeat(values[rank[tied]], count)
+        np.maximum(off, mb.stats[0, pos], out=off)
+        least = np.maximum(least, np.minimum.reduceat(off, start))
+        runs.append((pos, off, start, count))
+    d = least.min()
+    anchor = outer[seg[tied]]
+    a = anchor[least == d].max()
+    at = np.flatnonzero((least == d) & (anchor == a))
+    # per group, the smallest candidate index with offset <= d in each of
+    # the picked anchor's runs reaching d
+    picks = []
+    for mb, (pos, off, start, count) in zip(chunk, runs):
+        sel, first = _ranges(start[at], count[at])
+        idx = np.where(off[sel] <= d, mb.idx[pos[sel]], np.iinfo(np.int64).max)
+        picks.append(np.minimum.reduceat(idx, first))
+    picks = np.stack(picks)
+    pick = picks[:, np.lexsort(picks[::-1])[0]]
+    return totals, (top, (float(d), -a, tuple(int(i) for i in pick)))
 
 
 def _prune(members, eps):
@@ -494,7 +599,8 @@ def _prune(members, eps):
     For each statistic, a usable member lies in the window of some anchor
     at which every group's window is non-empty.  Dropping members can
     empty other windows, so this repeats until nothing changes.  None
-    when a group runs out of members.
+    when a group runs out of members; otherwise the members, the
+    first-statistic anchors and each group's windows L, R at them.
     """
     while True:
         keep = [np.ones(len(mb.idx), dtype=bool) for mb in members]
@@ -503,6 +609,9 @@ def _prune(members, eps):
             anchors = np.unique(np.concatenate(values))
             orders = [np.argsort(v, kind="stable") for v in values]
             windows = [_windows(v[o], anchors, eps) for v, o in zip(values, orders)]
+            if s == 0:
+                # members ascend the first statistic, so orders[0] is the identity
+                first = anchors, *zip(*windows)
             live = np.all([hi > lo for lo, hi in windows], axis=0)
             for k, (lo, hi), o in zip(keep, windows, orders):
                 n = len(o) + 1
@@ -511,7 +620,7 @@ def _prune(members, eps):
         if not all(k.any() for k in keep):
             return None
         if all(k.all() for k in keep):
-            return members
+            return members, *first
         members = [mb.subset(k) for mb, k in zip(members, keep)]
 
 
@@ -666,7 +775,9 @@ class _EqualitySearch:
       of the larger epsilon's, and the tie-break chain ranked the picks
       first among the larger set's combinations reaching that total;
     - a two-statistic anchor's best total found at a larger epsilon caps
-      its total (see _box_scan).
+      its total.  _Caps keeps the exact totals of every anchor searched,
+      including the ones a chunk of _box_scan searched beyond its early
+      exit, as sorted arrays read with searchsorted.
 
     Picks and caps are used only at epsilons no larger than the ones they
     were found at, so calls in any order return what enforce() returns.
@@ -681,14 +792,14 @@ class _EqualitySearch:
             )
         self.min_disparity = None
         self.last = None  # (epsilon, d, picks) of the last search that found picks
-        self.caps, self.caps_eps = {}, math.inf  # anchor caps from searches at >= caps_eps
+        self.caps, self.caps_eps = _Caps(), math.inf  # anchor caps from searches at >= caps_eps
 
     def picks(self, eps):
         if self.last is not None and self.last[0] >= eps and self.last[1] <= eps:
             return self.last[2]
         if self.min_disparity is None or eps >= self.min_disparity:
             if eps > self.caps_eps:
-                self.caps = {}
+                self.caps = _Caps()
             self.caps_eps = eps
             top, d, picks = _window_search(self.members, eps, self.caps)
             if top >= 0:

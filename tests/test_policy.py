@@ -404,6 +404,69 @@ class TestOracleAgreement:
                     self.check(scored, Equality(measure, eps))
 
 
+class TestChunkBoundaries:
+    """The two-statistic search answers its first-statistic anchors in
+    chunks, and where a chunk ends must not change a result.  A budget of
+    one window member puts one anchor in each chunk; 2**40 lifts the
+    member cap, so chunks take 2, 4, 8, ... anchors."""
+
+    BUDGETS = pytest.mark.parametrize("budget", [1, 2**40], ids=["one-anchor", "no-cap"])
+
+    @staticmethod
+    def chunked(monkeypatch, budget):
+        """Set the budget; the anchors of every chunk searched are recorded."""
+        sizes = []
+        inner = policy_module._chunk_search
+
+        def recorded(members, outer, *args):
+            sizes.append(len(outer))
+            return inner(members, outer, *args)
+
+        monkeypatch.setattr(policy_module, "_CHUNK_MEMBERS", budget)
+        monkeypatch.setattr(policy_module, "_chunk_search", recorded)
+        return sizes
+
+    @staticmethod
+    def check_sizes(sizes, budget):
+        if budget == 1:
+            assert max(sizes) == 1
+        else:
+            assert max(sizes) >= 4
+
+    @BUDGETS
+    def test_enforce_equals_brute_force(self, budget, monkeypatch):
+        sizes = self.chunked(monkeypatch, budget)
+        rng = np.random.default_rng(1000)
+        for n_groups in (2, 2, 3, 4, 5):
+            scored = random_small_scored(rng, n_groups=n_groups,
+                                         max_distinct=(12, 7, 5, 4)[n_groups - 2])
+            for measure in (ODDS, CUAE):
+                for eps in (0.0, float(rng.uniform(0.05, 0.4)), 1.0):
+                    TestOracleAgreement().check(scored, Equality(measure, eps))
+        self.check_sizes(sizes, budget)
+
+    @BUDGETS
+    @pytest.mark.parametrize("measure", [ODDS, CUAE], ids=lambda m: m.value)
+    def test_frontier_equals_point_by_point(self, budget, measure, monkeypatch):
+        rng = np.random.default_rng(1100)
+        cases = []
+        for _ in range(3):
+            rows = []
+            for g in range(int(rng.integers(2, 4))):
+                grid = np.round(np.sort(rng.random(int(rng.integers(10, 40)))), 3)
+                scores = rng.choice(np.clip(grid, 0.001, 0.999), int(rng.integers(40, 150)))
+                rows += [(float(s), int(rng.random() < s), f"g{g}") for s in scores]
+            cases.append(scored_of(rows))
+        # the point-by-point frontiers at the default budget
+        want = [oracle.equality_frontier(scored, measure, 12) for scored in cases]
+        sizes = self.chunked(monkeypatch, budget)
+        for scored, expected in zip(cases, want):
+            got = equality_frontier(scored, measure, 12)
+            assert got == expected
+            assert got.skipped == expected.skipped
+        self.check_sizes(sizes, budget)
+
+
 class TestSearchAnswers:
     """The equality search reads its answers off one window search: the
     minimum disparity is that search's d when every combination ties,
@@ -478,12 +541,10 @@ class TestSeparableTiePlateau:
 
 
 class TestEqualityTiePlateau:
-    @pytest.mark.parametrize("measure", [DP, ODDS])
-    def test_plateau_is_settled_without_listing_ties(self, measure):
-        # Alternating labels tie every odd candidate index on correctness,
-        # about 1.6M accuracy-tied combinations at epsilon 0.5; the pick
-        # has every group select its top half.
-        sizes = [10, 14, 18, 22, 26, 30]
+    @staticmethod
+    def plateau_enforce(sizes, measure):
+        """Equality(measure, 0.5) on groups of these sizes whose labels
+        alternate along the scores, with its tracemalloc peak."""
         scores = np.concatenate([np.linspace(0.02, 0.98, n) for n in sizes])
         labels = np.concatenate([np.arange(n) % 2 for n in sizes])
         groups = np.concatenate([np.full(n, g) for g, n in enumerate(sizes)])
@@ -495,12 +556,31 @@ class TestEqualityTiePlateau:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return scored, result, peak
+
+    @pytest.mark.parametrize("measure", [DP, ODDS])
+    def test_plateau_is_settled_without_listing_ties(self, measure):
+        # Alternating labels tie every odd candidate index on correctness,
+        # about 1.6M accuracy-tied combinations at epsilon 0.5; the pick
+        # has every group select its top half.
+        sizes = [10, 14, 18, 22, 26, 30]
+        scored, result, peak = self.plateau_enforce(sizes, measure)
         assert peak < 5 * 2**20
         assert result.policy.thresholds == tuple(
             float(candidate_thresholds(scored, g)[n // 2])
             for g, n in enumerate(sizes))
         assert result.accuracy == enforce(scored, Unconstrained()).accuracy
         assert set(result.metrics.values("selection_rate")) == {0.5}
+
+    def test_two_statistic_plateau_stays_small(self):
+        # Every first-statistic anchor's bound reaches the best total, so
+        # every anchor is searched; the chunks' member cap keeps the
+        # memory of batching them bounded.
+        _, result, peak = self.plateau_enforce([50, 70, 90, 110, 130, 150], ODDS)
+        assert peak < 8 * 2**20
+        assert result.policy.thresholds == (
+            0.3040816326530612, 0.3052173913043478, 0.3058426966292135,
+            0.3062385321100917, 0.3065116279069767, 0.3067114093959732)
 
 
 class TestMinimumRateSemantics:
