@@ -186,7 +186,7 @@ def equality_frontier(
             skipped.append(f"epsilon={eps:.6g}: {exc}")
             continue
         d = M.disparity(res.metrics, measure)
-        if d is None or d > eps + 1e-12:
+        if d is None or d > eps:
             raise RuntimeError(f"policy at epsilon={eps!r} has disparity {d!r}")
         raw.append(_point(res, d, eps))
     # back to ascending epsilon: _dedup keeps the first of equal points

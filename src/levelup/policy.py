@@ -397,18 +397,15 @@ def _totals(members, L, R):
     return best, np.where((best >= 0).all(axis=0), best.sum(axis=0), -1)
 
 
-def _window_search(members, eps, caps=None):
+def _window_search(members, eps):
     """The tie-break's pick among feasible combinations of one member per
     group: (top, d, pick), where top is the best total correct, d the least
     disparity among the combinations reaching it and pick their first by
     higher minimum, then smallest candidate indices; (-1, inf, None) when
     none is feasible.
-
-    caps, for two statistics, holds upper bounds of first-statistic
-    anchors' best totals (see _box_scan).
     """
     if len(members[0].stats) == 2:
-        return _box_scan(members, eps, caps)
+        return _box_scan(members, eps)
     anchors = np.unique(np.concatenate([mb.stats[0] for mb in members]))
     L, R = zip(*(_windows(mb.stats[0], anchors, eps) for mb in members))
     best, total = _totals(members, L, R)
@@ -446,51 +443,25 @@ def _single_pick(members, anchors, runs):
     return float(d), tuple(pick)
 
 
-class _Caps:
-    """Upper bounds of two-statistic anchors' best totals: the anchors,
-    sorted, and their totals (see _box_scan)."""
-
-    def __init__(self):
-        self.anchors, self.totals = np.empty(0), np.empty(0, dtype=np.int64)
-
-    def tighten(self, anchors, bound):
-        """bound, lowered to the cap of each anchor that has one."""
-        if len(self.anchors) == 0:
-            return bound
-        at = np.minimum(np.searchsorted(self.anchors, anchors), len(self.anchors) - 1)
-        return np.where(self.anchors[at] == anchors, np.minimum(bound, self.totals[at]), bound)
-
-    def record(self, anchors, totals):
-        """Cap these anchors at their exact totals."""
-        self.anchors, first = np.unique(np.concatenate([anchors, self.anchors]), return_index=True)
-        self.totals = np.concatenate([totals, self.totals])[first]
-
-
-def _box_scan(members, eps, caps=None):
+def _box_scan(members, eps):
     """Two statistics: for each first-statistic anchor, the one-statistic
     search on the second statistic over the anchor's windows, every member
     carrying its first-statistic offset from the anchor.
 
     _prune first drops the members no feasible combination can use, and
-    its first-statistic windows cap each anchor's total.  Anchors are
+    its first-statistic windows bound each anchor's total.  Anchors are
     taken best bound first, in chunks (see _chunk_search) of 2, 4, 8, ...
     anchors holding at most _CHUNK_MEMBERS window members, until the bound
-    falls below the best exact total found.  So every anchor that can
-    reach it is searched; the other anchors of a chunk only add exact
-    totals to caps.  The pick is the smallest (d, -anchor, pick): least
+    falls below the best exact total found, so every anchor that can reach
+    it is searched.  The pick is the smallest (d, -anchor, pick): least
     disparity, then the higher minimum of the first statistic, then the
-    smallest indices.  caps, when given, holds anchors' best totals found
-    at an epsilon at least this large over at least these members; no
-    total here exceeds them, so they tighten the bounds.  Every exact
-    total found is recorded in caps.
+    smallest indices.
     """
     pruned = _prune(members, eps)
     if pruned is None:
         return -1, math.inf, None
     members, anchors, L, R = pruned
     bound = _totals(members, L, R)[1]
-    if caps is not None:
-        bound = caps.tighten(anchors, bound)
     order = np.argsort(-bound, kind="stable")[:np.count_nonzero(bound >= 0)]
     descending = -bound[order]
     # size[j] - size[i]: the window members of anchors order[i:j]
@@ -498,23 +469,20 @@ def _box_scan(members, eps, caps=None):
     values = np.unique(np.concatenate([mb.stats[1] for mb in members]))
     second = (values, _windows(values, values, eps)[1],
               [np.searchsorted(values, mb.stats[1]) for mb in members])
-    top, key, found = -1, (math.inf, 0.0, None), []
+    top, key = -1, (math.inf, 0.0, None)
     i, chunk = 0, 2
     while i < len(order) and bound[order[i]] >= max(top, 0):
         reach = np.searchsorted(descending, -max(top, 0), "right")
         fits = np.searchsorted(size, size[i] + _CHUNK_MEMBERS, "right") - 1
         a = order[i:max(i + 1, min(i + chunk, reach, fits))]
-        totals, best = _chunk_search(members, anchors[a], [(lo[a], hi[a]) for lo, hi in zip(L, R)],
-                                     second, max(top, 0))
-        found.append((anchors[a], totals))
+        best = _chunk_search(members, anchors[a], [(lo[a], hi[a]) for lo, hi in zip(L, R)],
+                             second, max(top, 0))
         if best is not None:
             if best[0] > top:
                 top, key = best
             elif best[0] == top:
                 key = min(key, best[1])
         i, chunk = i + len(a), 2 * chunk
-    if caps is not None and found:
-        caps.record(*map(np.concatenate, zip(*found)))
     return top, key[0], key[2]
 
 
@@ -531,10 +499,9 @@ def _chunk_search(members, outer, spans, second, floor):
     outer holds the chunk's first-statistic anchors and spans, per group,
     their windows [lo, hi); second holds the sorted distinct
     second-statistic values, the end of each value's window among them,
-    and each group's members' ranks in them.  Returns each anchor's best
-    total (-1 when nothing is feasible) and, when the largest of those
-    reaches floor, (that total, the smallest (d, -anchor, pick) among the
-    anchors reaching it); None otherwise.
+    and each group's members' ranks in them.  Returns, when the chunk's
+    best total reaches floor, (that total, the smallest (d, -anchor, pick)
+    among the anchors reaching it); None otherwise.
     """
     values, ends, ranks = second
     K = len(values)
@@ -556,11 +523,9 @@ def _chunk_search(members, outer, spans, second, floor):
     L = [np.searchsorted(k, inner) for k in keys]
     R = [np.searchsorted(k, seg * K + ends[rank]) for k in keys]
     best, total = _totals(chunk, L, R)
-    # every segment holds members of every group, so it has inner anchors
-    totals = np.maximum.reduceat(total, np.searchsorted(seg, np.arange(len(outer))))
-    top = int(totals.max())
+    top = int(total.max())
     if top < floor:
-        return totals, None
+        return None
     # The best-holding runs of every tied inner anchor, gathered at once;
     # a member's offset is the larger of its two.
     tied = np.flatnonzero(total == top)
@@ -590,7 +555,7 @@ def _chunk_search(members, outer, spans, second, floor):
         picks.append(np.minimum.reduceat(idx, first))
     picks = np.stack(picks)
     pick = picks[:, np.lexsort(picks[::-1])[0]]
-    return totals, (top, (float(d), -a, tuple(int(i) for i in pick)))
+    return top, (float(d), -a, tuple(int(i) for i in pick))
 
 
 def _prune(members, eps):
@@ -769,18 +734,14 @@ class _EqualitySearch:
     every larger one.  So, at an epsilon smaller than earlier ones:
 
     - below the minimum disparity it is infeasible, without a search;
-    - picks found at a larger epsilon are its answer when their
-      disparity d, which the window search returned with them, is
+    - the last picks found, at a larger epsilon, are its answer when
+      their disparity d, which the window search returned with them, is
       within it: they reach its best total, its feasible set is a subset
       of the larger epsilon's, and the tie-break chain ranked the picks
-      first among the larger set's combinations reaching that total;
-    - a two-statistic anchor's best total found at a larger epsilon caps
-      its total.  _Caps keeps the exact totals of every anchor searched,
-      including the ones a chunk of _box_scan searched beyond its early
-      exit, as sorted arrays read with searchsorted.
+      first among the larger set's combinations reaching that total.
 
-    Picks and caps are used only at epsilons no larger than the ones they
-    were found at, so calls in any order return what enforce() returns.
+    The picks are used only at epsilons no larger than the one they were
+    found at, so calls in any order return what enforce() returns.
     """
 
     def __init__(self, problem, constraint: Equality):
@@ -792,16 +753,12 @@ class _EqualitySearch:
             )
         self.min_disparity = None
         self.last = None  # (epsilon, d, picks) of the last search that found picks
-        self.caps, self.caps_eps = _Caps(), math.inf  # anchor caps from searches at >= caps_eps
 
     def picks(self, eps):
         if self.last is not None and self.last[0] >= eps and self.last[1] <= eps:
             return self.last[2]
         if self.min_disparity is None or eps >= self.min_disparity:
-            if eps > self.caps_eps:
-                self.caps = _Caps()
-            self.caps_eps = eps
-            top, d, picks = _window_search(self.members, eps, self.caps)
+            top, d, picks = _window_search(self.members, eps)
             if top >= 0:
                 self.last = (eps, d, picks)
                 return picks
@@ -841,7 +798,7 @@ def _level_single_group(vals, start_idx, target):
             return hi
         return lo
 
-    reach = vals >= target - 1e-12  # NaN compares false
+    reach = vals >= target  # NaN compares false
     if reach.any():
         return nearest(reach), False
     return nearest(defined & (vals == np.nanmax(vals))), True

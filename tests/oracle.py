@@ -55,7 +55,7 @@ def candidate_grid(scores):
 
 def level_single_group(vals, start_idx, target):
     """Scan outward from start_idx, lower index first at each distance,
-    for the first defined value reaching target - 1e-12.  When none does,
+    for the first defined value reaching target.  When none does,
     the first defined value in that scan order holding the largest value
     (start_idx when every value is NaN).  Returns (index, missed)."""
     m = len(vals)
@@ -67,7 +67,7 @@ def level_single_group(vals, start_idx, target):
             v = vals[k]
             if np.isnan(v):
                 continue
-            if v >= target - 1e-12:
+            if v >= target:
                 return k, False
             if not np.isnan(vals[best_fallback]) and v > vals[best_fallback]:
                 best_fallback = k

@@ -202,10 +202,10 @@ class TestEqualitySweep:
 
     @pytest.mark.parametrize("measure", [FairnessMeasure.EQUALIZED_ODDS, CUAE])
     def test_two_statistic_sweep_matches_oracle(self, measure):
-        # Tens of distinct scores per group, so later searches start from
-        # anchor totals that earlier ones recorded.  On these seeds a total
-        # recorded from the tie pass's smaller member set would cap an
-        # anchor below its true total.
+        # Tens of distinct scores per group, so the sweep's searches run
+        # many chunks of first-statistic anchors and often reuse the last
+        # picks.  On these seeds, any bound on an anchor's total carried
+        # from a search over fewer members would fall below the true total.
         for seed in (43, 45, 47, 49, 56, 115):
             scored = medium_scored(np.random.default_rng(seed))
             want = oracle.equality_frontier(scored, measure, 30)

@@ -735,6 +735,10 @@ class TestLevelSingleGroup:
             assert policy_module._level_single_group(vals, start, target) == \
                 oracle.level_single_group(vals, start, target)
 
+    def test_a_value_just_below_the_target_does_not_reach_it(self):
+        vals = np.array([0.1, 0.5 - 5e-13, 0.6])
+        assert policy_module._level_single_group(vals, 0, 0.5) == (2, False)
+
 
 class TestEmptyGroup:
     """A named group without rows is a DataError that names it."""
