@@ -189,14 +189,6 @@ def _load_json(path, what: str):
         raise DataError(f"{what} {path} is not valid JSON: {exc}")
 
 
-def _read_scores(path) -> S.ScoredDataset:
-    """The score CSV at path; a DataError naming it when it is not UTF-8."""
-    try:
-        return S.read_scores_csv(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: scores is not UTF-8 text: {exc}") from exc
-
-
 def _load_synth_spec(path: str) -> SynthSpec:
     raw = _load_json(path, "synth spec")
     try:
@@ -254,7 +246,7 @@ def _resolve_scored(cfg: dict) -> tuple[S.ScoredDataset, str]:
             "exactly one data source required: --scores, --data, or --synth-spec"
         )
     if cfg.get("scores"):
-        return _read_scores(cfg["scores"]), "provided"
+        return S.read_scores_csv(cfg["scores"]), "provided"
     dataset = _load_dataset(cfg)
     train, evl = split(dataset, cfg["eval_fraction"], cfg["seed"])
     scorer = S.fit(train, _scorer_config(cfg))
@@ -412,7 +404,7 @@ def _cmd_audit(cfg: dict, outdir: Path) -> list[str]:
         raise UsageError("audit needs --scores")
     if not cfg.get("policy"):
         raise UsageError("audit needs --policy")
-    scored = _read_scores(cfg["scores"])
+    scored = S.read_scores_csv(cfg["scores"])
     policy = P.policy_from_json_dict(_load_json(cfg["policy"], "policy"))
     if cfg.get("baseline_policy"):
         base_policy = P.policy_from_json_dict(

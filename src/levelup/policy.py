@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,7 +191,6 @@ class _GroupTable:
     thresholds: np.ndarray
     tp: np.ndarray
     fp: np.ndarray
-    n: int
     pos: int
     neg: int
 
@@ -230,7 +229,7 @@ def _group_table(scored: ScoredDataset, gid: int) -> _GroupTable:
     np.copyto(mid, upper, where=~(lower < mid))
     thresholds[-1] = REJECT_ALL
     pos = int(tp[0])
-    return _GroupTable(thresholds=thresholds, tp=tp, fp=fp, n=len(key), pos=pos, neg=len(key) - pos)
+    return _GroupTable(thresholds=thresholds, tp=tp, fp=fp, pos=pos, neg=len(key) - pos)
 
 
 def _build_tables(scored: ScoredDataset) -> list[_GroupTable]:
@@ -299,6 +298,13 @@ class _Problem:
 # pooled accuracy is the best, over anchors, of a sum of per-group window
 # maxima.
 #
+# All groups' members lie in one array, one block per group, and each
+# member carries its rank among the K sorted distinct values of each
+# statistic.  A group's window at lo holds the ranks from lo's to the end
+# rank _ends settles for lo, so one searchsorted over the int64 keys
+# group * K + rank finds every group's window at every anchor.  No window
+# crosses a block, so one sparse table answers every window maximum.
+#
 # The tie-break runs on the same structure.  A combination reaching the
 # best total takes each group's window best at its own lo, which is a
 # tied anchor.  A member's offset at an anchor is v - anchor (with two
@@ -310,16 +316,8 @@ class _Problem:
 # candidate index among best-holding members with offset <= d.
 #
 # Two statistics nest the search: at each first-statistic anchor, the
-# one-statistic search on the second statistic over the anchor's windows.
-# _box_scan answers many first-statistic anchors at once, in chunks.  A
-# chunk lays each group's windows end to end, one segment per anchor,
-# ordered by (segment, second statistic, position).  Its inner anchors are
-# the distinct (segment, second-statistic value) pairs, and their windows
-# come from searchsorted over the exact int64 keys segment * K + rank,
-# where rank is a value's index among the K distinct second-statistic
-# values; the right end is settled once per distinct value, as _windows
-# does.  No window crosses a segment, so one sparse table per group
-# answers every window maximum of the chunk.
+# one-statistic search on the second statistic over the anchor's windows,
+# which _box_scan answers for many anchors at once (see _chunk_search).
 
 # Window members, over all groups, that one chunk of _box_scan holds at
 # most (a chunk has at least one anchor).
@@ -328,73 +326,130 @@ _CHUNK_MEMBERS = 4096
 
 @dataclass
 class _Members:
-    """One group's candidates whose tracked statistics are all defined,
-    sorted by (first statistic, second statistic); in a chunk of _box_scan,
-    by (segment, second statistic, position), with the first statistic's
-    offset from the segment's anchor in place of the first statistic."""
+    """Every group's candidates whose tracked statistics are all defined,
+    in one array sorted by (group, first statistic, second statistic); in
+    a chunk of _box_scan, by (group, segment, second statistic, position),
+    with the first statistic's offset from the segment's anchor in place of
+    the first statistic.  values holds each statistic's sorted distinct
+    values when _members built the set, and rank each member's index in
+    them, so a sweep and a bisection rank the values once."""
 
+    n_groups: int
+    group: np.ndarray
     idx: np.ndarray
     stats: np.ndarray  # one row per tracked statistic
+    rank: np.ndarray  # one row per tracked statistic
+    values: list
     correct: np.ndarray
 
-    def __post_init__(self):
-        # sparse[k, i] = max(correct[i:i + 2**k]), -1 past the end
+    @functools.cached_property
+    def sparse(self) -> np.ndarray:
+        """sparse[k, i] = max(correct[i:i + 2**k]), -1 past the end."""
         n = len(self.correct)
-        self.sparse = np.full((max(n.bit_length(), 1), n), -1, dtype=np.int64)
-        self.sparse[0] = self.correct
-        for k in range(1, len(self.sparse)):
+        sparse = np.full((max(n.bit_length(), 1), n), -1, dtype=np.int64)
+        sparse[0] = self.correct
+        for k in range(1, len(sparse)):
             half, m = 1 << (k - 1), n - (1 << k) + 1
-            np.maximum(self.sparse[k - 1, :m], self.sparse[k - 1, half:half + m], out=self.sparse[k, :m])
+            np.maximum(sparse[k - 1, :m], sparse[k - 1, half:half + m], out=sparse[k, :m])
+        return sparse
 
     def subset(self, keep: np.ndarray) -> _Members:
-        return _Members(self.idx[keep], self.stats[:, keep], self.correct[keep])
-
-    def window_max(self, L, R):
-        """Max of correct over each [L, R); -1 where the window is empty."""
-        k = np.frexp(np.maximum(R - L, 1))[1] - 1
-        start = np.minimum(L, len(self.correct) - 1)
-        best = np.maximum(self.sparse[k, start], self.sparse[k, np.maximum(R - (1 << k), start)])
-        return np.where(R > L, best, -1)
+        return _Members(self.n_groups, self.group[keep], self.idx[keep], self.stats[:, keep],
+                        self.rank[:, keep], self.values, self.correct[keep])
 
 
-def _members(problem, stat_names, subsets=None) -> list[_Members]:
-    """Per group, the candidates (all, or those in subsets[g]) to search."""
-    out = []
+def _members(problem, stat_names, subsets=None) -> _Members | None:
+    """Every group's candidates (all, or those in subsets[g]) to search;
+    None when a group has none."""
+    parts = []
     for g, t in enumerate(problem.tables):
         idx = np.arange(t.m) if subsets is None else subsets[g]
-        stats = np.stack([problem.stat(g, name)[idx] for name in stat_names])
-        keep = ~np.isnan(stats).any(axis=0)
-        idx, stats = idx[keep], stats[:, keep]
-        order = np.lexsort(stats[::-1])
-        idx = idx[order]
-        out.append(_Members(idx, stats[:, order], problem.correct(g)[idx]))
-    return out
+        parts.append((np.full(len(idx), g), idx, problem.correct(g)[idx],
+                      *(problem.stat(g, name)[idx] for name in stat_names)))
+    group, idx, correct, *stats = map(np.concatenate, zip(*parts))
+    keep = np.flatnonzero(~np.isnan(stats).any(axis=0))
+    keep = keep[np.lexsort((*(v[keep] for v in stats[::-1]), group[keep]))]
+    group, idx, stats, correct = group[keep], idx[keep], np.stack(stats)[:, keep], correct[keep]
+    if not np.bincount(group, minlength=len(parts)).all():
+        return None
+    values = [np.unique(v) for v in stats]
+    rank = np.stack([np.searchsorted(u, v) for u, v in zip(values, stats)])
+    return _Members(len(parts), group, idx, stats, rank, values, correct)
 
 
-def _windows(values, anchors, eps):
-    """[L, R) of the sorted values v with v >= lo and v - lo <= eps, per anchor lo.
-
-    v - lo <= eps is the subtraction metrics.disparity does; lo + eps can
-    round across a value, so R is settled on the subtraction.
-    """
+def _ends(values, eps):
+    """Per sorted distinct value lo, the first index among values whose
+    value v has v - lo > eps.  That is the subtraction metrics.disparity
+    does; lo + eps can round across a value, so the end is settled on it."""
     n = len(values)
-    L = np.searchsorted(values, anchors, "left")
-    R = np.searchsorted(values, anchors + eps, "right")
+    end = np.searchsorted(values, values + eps, "right")
     while True:
-        nxt, last = values[np.minimum(R, n - 1)], values[np.maximum(R - 1, 0)]
-        grow = (R < n) & (nxt - anchors <= eps)
-        shrink = (R > L) & (last - anchors > eps)
+        grow = (end < n) & (values[np.minimum(end, n - 1)] - values <= eps)
+        shrink = values[end - 1] - values > eps
         if not (grow.any() or shrink.any()):
-            return L, R
-        R = np.where(grow, np.searchsorted(values, nxt, "right"), R)
-        R = np.where(shrink, np.searchsorted(values, last, "left"), R)
+            return end
+        end = end + grow - shrink
+
+
+def _windows(members, s, ends):
+    """(anchors, order, L, R): the ranks of the distinct values of
+    statistic s the members hold, and each group's window [L, R) at them
+    among the members in order by (group, statistic s)."""
+    K = len(members.values[s])
+    key = members.group * K + members.rank[s]
+    order = np.argsort(key, kind="stable")
+    key, base = key[order], np.arange(members.n_groups)[:, None] * K
+    anchors = np.flatnonzero(np.bincount(members.rank[s], minlength=K))
+    return anchors, order, np.searchsorted(key, base + anchors), np.searchsorted(key, base + ends[anchors])
 
 
 def _totals(members, L, R):
-    """Each group's window maxima over [L, R) and each anchor's total (-1
-    when a window is empty)."""
-    best = np.stack([mb.window_max(lo, hi) for mb, lo, hi in zip(members, L, R)])
+    """Each window's max correct over [L, R) (-1 when empty), one row per
+    group, and each anchor's total (-1 when a window is empty)."""
+    k = np.frexp(np.maximum(R - L, 1))[1] - 1
+    start = np.minimum(L, len(members.correct) - 1)
+    best = np.maximum(members.sparse[k, start], members.sparse[k, np.maximum(R - (1 << k), start)])
+    best = np.where(R > L, best, -1)
     return best, np.where((best >= 0).all(axis=0), best.sum(axis=0), -1)
+
+
+def _runs(members, L, R, best):
+    """Each window's best-holding members: one run of the positions sorted
+    by (group, correct, position), the keys correct * n + position since a
+    group's positions are one block.  (positions, run starts, run lengths)."""
+    n = len(members.correct)
+    keys = np.sort(members.correct * n + np.arange(n))
+    lo = np.searchsorted(keys, best * n + L)
+    return keys % n, lo, np.searchsorted(keys, best * n + R) - lo
+
+
+def _ranges(lo, count):
+    """The positions of the ranges [lo, lo + count), concatenated, and
+    where each range starts among them."""
+    start = np.cumsum(count) - count
+    return np.arange(count.sum()) + np.repeat(lo - start, count), start
+
+
+def _gather(members, runs, value):
+    """The runs' members (one row of runs per group, one column per anchor
+    value), their offsets and where each run starts among them."""
+    pos, lo, count = runs
+    sel, start = _ranges(lo.ravel(), count.ravel())
+    pos = pos[sel]
+    off = members.stats[-1, pos] - np.repeat(np.tile(value, len(lo)), count.ravel())
+    if len(members.stats) == 2:
+        np.maximum(off, members.stats[0, pos], out=off)
+    return pos, off, start
+
+
+def _pick(members, runs, value, d, at):
+    """Per group, the smallest candidate index with offset <= d in the run
+    at each anchor in at; the smallest of those index vectors."""
+    pos, lo, count = runs
+    pos, off, start = _gather(members, (pos, lo[:, at], count[:, at]), value[at])
+    picks = np.minimum.reduceat(np.where(off <= d, members.idx[pos], np.iinfo(np.int64).max), start)
+    picks = picks.reshape(len(lo), -1)
+    return tuple(picks[:, np.lexsort(picks[::-1])[0]].tolist())
 
 
 def _window_search(members, eps):
@@ -404,43 +459,21 @@ def _window_search(members, eps):
     higher minimum, then smallest candidate indices; (-1, inf, None) when
     none is feasible.
     """
-    if len(members[0].stats) == 2:
+    if len(members.stats) == 2:
         return _box_scan(members, eps)
-    anchors = np.unique(np.concatenate([mb.stats[0] for mb in members]))
-    L, R = zip(*(_windows(mb.stats[0], anchors, eps) for mb in members))
+    anchors, _, L, R = _windows(members, 0, _ends(members.values[0], eps))
     best, total = _totals(members, L, R)
     top = int(total.max())
     if top < 0:
         return -1, math.inf, None
     tied = np.flatnonzero(total == top)
-    # Per tied anchor and group, the window positions holding the window's
-    # best are one run [lo, hi) of the sorted keys correct * m + position.
-    runs = []
-    for g, mb in enumerate(members):
-        m = len(mb.correct)
-        keys = np.sort(mb.correct * m + np.arange(m))
-        base = best[g, tied] * m
-        runs.append((keys, np.searchsorted(keys, base + L[g][tied]),
-                     np.searchsorted(keys, base + R[g][tied])))
-    return (top, *_single_pick(members, anchors[tied], runs))
-
-
-def _single_pick(members, anchors, runs):
-    """(d, pick) of one statistic from the best-holding runs at the tied
-    anchors.  Positions ascend the statistic, so a run's first position
-    holds its least offset, and only the picked anchor's runs are
-    gathered: the largest anchor reaching d, where each group takes its
-    smallest candidate index with offset <= d."""
-    least = np.zeros(len(anchors))
-    for mb, (keys, lo, _) in zip(members, runs):
-        least = np.maximum(least, mb.stats[0, keys[lo] % len(keys)] - anchors)
+    value = members.values[0][anchors[tied]]
+    runs = _runs(members, L[:, tied], R[:, tied], best[:, tied])
+    # positions ascend the statistic, so a run's first member holds its
+    # least offset, and only the picked anchor's runs are gathered
+    least = (members.stats[0, runs[0][runs[1]]] - value).max(axis=0)
     d = least.min()
-    at = np.flatnonzero(least == d)[-1]
-    pick = []
-    for mb, (keys, lo, hi) in zip(members, runs):
-        pos = keys[lo[at]:hi[at]] % len(keys)
-        pick.append(int(mb.idx[pos][mb.stats[0, pos] - anchors[at] <= d].min()))
-    return float(d), tuple(pick)
+    return top, float(d), _pick(members, runs, value, d, np.flatnonzero(least == d)[-1:])
 
 
 def _box_scan(members, eps):
@@ -457,7 +490,8 @@ def _box_scan(members, eps):
     disparity, then the higher minimum of the first statistic, then the
     smallest indices.
     """
-    pruned = _prune(members, eps)
+    ends = [_ends(v, eps) for v in members.values]
+    pruned = _prune(members, ends)
     if pruned is None:
         return -1, math.inf, None
     members, anchors, L, R = pruned
@@ -465,18 +499,14 @@ def _box_scan(members, eps):
     order = np.argsort(-bound, kind="stable")[:np.count_nonzero(bound >= 0)]
     descending = -bound[order]
     # size[j] - size[i]: the window members of anchors order[i:j]
-    size = np.concatenate(([0], np.cumsum(sum(hi[order] - lo[order] for lo, hi in zip(L, R)))))
-    values = np.unique(np.concatenate([mb.stats[1] for mb in members]))
-    second = (values, _windows(values, values, eps)[1],
-              [np.searchsorted(values, mb.stats[1]) for mb in members])
+    size = np.concatenate(([0], np.cumsum((R - L).sum(axis=0)[order])))
     top, key = -1, (math.inf, 0.0, None)
     i, chunk = 0, 2
     while i < len(order) and bound[order[i]] >= max(top, 0):
         reach = np.searchsorted(descending, -max(top, 0), "right")
         fits = np.searchsorted(size, size[i] + _CHUNK_MEMBERS, "right") - 1
         a = order[i:max(i + 1, min(i + chunk, reach, fits))]
-        best = _chunk_search(members, anchors[a], [(lo[a], hi[a]) for lo, hi in zip(L, R)],
-                             second, max(top, 0))
+        best = _chunk_search(members, anchors[a], L[:, a], R[:, a], ends[1], max(top, 0))
         if best is not None:
             if best[0] > top:
                 top, key = best
@@ -486,107 +516,77 @@ def _box_scan(members, eps):
     return top, key[0], key[2]
 
 
-def _ranges(lo, count):
-    """The positions of the ranges [lo, lo + count), concatenated, and
-    where each range starts among them."""
-    start = np.cumsum(count) - count
-    return np.arange(count.sum()) + np.repeat(lo - start, count), start
-
-
-def _chunk_search(members, outer, spans, second, floor):
+def _chunk_search(members, outer, L, R, ends, floor):
     """The inner searches of one chunk of _box_scan at once.
 
-    outer holds the chunk's first-statistic anchors and spans, per group,
-    their windows [lo, hi); second holds the sorted distinct
-    second-statistic values, the end of each value's window among them,
-    and each group's members' ranks in them.  Returns, when the chunk's
-    best total reaches floor, (that total, the smallest (d, -anchor, pick)
-    among the anchors reaching it); None otherwise.
+    outer holds the chunk's first-statistic anchor values, L and R each
+    group's windows at them, and ends each second-statistic rank's end
+    rank.  The chunk lays the windows end to end, one segment per anchor,
+    in order of the int64 keys ((group * S + segment) * K + rank) * n +
+    position, over S segments, K second-statistic values and n members.
+    They need groups * S * K * n < 2**63: groups * S is at most
+    _CHUNK_MEMBERS, or groups when one anchor overflows it, and K <= n.
+    The inner anchors are the distinct (segment, rank) pairs.  Returns,
+    when the chunk's best total reaches floor, (that total, the smallest
+    (d, -anchor, pick) among the anchors reaching it); None otherwise.
     """
-    values, ends, ranks = second
-    K = len(values)
-    chunk, keys = [], []
-    for mb, rank, (lo, hi) in zip(members, ranks, spans):
-        n, count = len(mb.idx), hi - lo
-        pos = _ranges(lo, count)[0]
-        key = (np.repeat(np.arange(len(count)), count) * K + rank[pos]) * n + pos
-        key.sort()
-        pos, key = np.divmod(key, n)[::-1]
-        # the first statistic's offset from the segment's anchor in its place
-        stats = np.stack([mb.stats[0, pos] - outer[key // K], mb.stats[1, pos]])
-        chunk.append(_Members(mb.idx[pos], stats, mb.correct[pos]))
-        keys.append(key)
+    G, S = L.shape
+    n, K = len(members.idx), len(members.values[1])
+    count = (R - L).ravel()
+    pos = _ranges(L.ravel(), count)[0]
+    key = (np.repeat(np.arange(G * S), count) * K + members.rank[1, pos]) * n + pos
+    key.sort()
+    block, pos = np.divmod(key, n)
+    chunk = members.subset(pos)
+    chunk.stats[0] -= outer[block // K % S]
     # np.unique hashes int64 keys, several times slower than this sort
-    inner = np.sort(np.concatenate(keys))
+    inner = np.sort(block % (S * K))
     inner = inner[np.concatenate(([True], inner[1:] != inner[:-1]))]
     seg, rank = np.divmod(inner, K)
-    L = [np.searchsorted(k, inner) for k in keys]
-    R = [np.searchsorted(k, seg * K + ends[rank]) for k in keys]
+    base = np.arange(G)[:, None] * (S * K)
+    L = np.searchsorted(block, base + inner)
+    R = np.searchsorted(block, base + seg * K + ends[rank])
     best, total = _totals(chunk, L, R)
     top = int(total.max())
     if top < floor:
         return None
-    # The best-holding runs of every tied inner anchor, gathered at once;
-    # a member's offset is the larger of its two.
     tied = np.flatnonzero(total == top)
-    least, runs = np.zeros(len(tied)), []
-    for g, mb in enumerate(chunk):
-        n = len(mb.idx)
-        by_best = np.sort(mb.correct * n + np.arange(n))
-        base = best[g, tied] * n
-        lo = np.searchsorted(by_best, base + L[g][tied])
-        count = np.searchsorted(by_best, base + R[g][tied]) - lo
-        sel, start = _ranges(lo, count)
-        pos = (by_best % n)[sel]
-        off = mb.stats[1, pos] - np.repeat(values[rank[tied]], count)
-        np.maximum(off, mb.stats[0, pos], out=off)
-        least = np.maximum(least, np.minimum.reduceat(off, start))
-        runs.append((pos, off, start, count))
+    value = members.values[1][rank[tied]]
+    runs = _runs(chunk, L[:, tied], R[:, tied], best[:, tied])
+    _, off, start = _gather(chunk, runs, value)
+    least = np.minimum.reduceat(off, start).reshape(G, -1).max(axis=0)
     d = least.min()
     anchor = outer[seg[tied]]
     a = anchor[least == d].max()
     at = np.flatnonzero((least == d) & (anchor == a))
-    # per group, the smallest candidate index with offset <= d in each of
-    # the picked anchor's runs reaching d
-    picks = []
-    for mb, (pos, off, start, count) in zip(chunk, runs):
-        sel, first = _ranges(start[at], count[at])
-        idx = np.where(off[sel] <= d, mb.idx[pos[sel]], np.iinfo(np.int64).max)
-        picks.append(np.minimum.reduceat(idx, first))
-    picks = np.stack(picks)
-    pick = picks[:, np.lexsort(picks[::-1])[0]]
-    return top, (float(d), -a, tuple(int(i) for i in pick))
+    return top, (float(d), -a, _pick(chunk, runs, value, d, at))
 
 
-def _prune(members, eps):
+def _prune(members, ends):
     """Drop the members that no feasible combination can use.
 
     For each statistic, a usable member lies in the window of some anchor
     at which every group's window is non-empty.  Dropping members can
     empty other windows, so this repeats until nothing changes.  None
     when a group runs out of members; otherwise the members, the
-    first-statistic anchors and each group's windows L, R at them.
+    first-statistic anchor values and each group's windows L, R at them.
     """
     while True:
-        keep = [np.ones(len(mb.idx), dtype=bool) for mb in members]
-        for s in range(len(members[0].stats)):
-            values = [mb.stats[s] for mb in members]
-            anchors = np.unique(np.concatenate(values))
-            orders = [np.argsort(v, kind="stable") for v in values]
-            windows = [_windows(v[o], anchors, eps) for v, o in zip(values, orders)]
+        keep = np.ones(len(members.idx), dtype=bool)
+        for s, end in enumerate(ends):
+            anchors, order, L, R = _windows(members, s, end)
             if s == 0:
-                # members ascend the first statistic, so orders[0] is the identity
-                first = anchors, *zip(*windows)
-            live = np.all([hi > lo for lo, hi in windows], axis=0)
-            for k, (lo, hi), o in zip(keep, windows, orders):
-                n = len(o) + 1
-                depth = np.bincount(lo[live], minlength=n) - np.bincount(hi[live], minlength=n)
-                k[o] &= np.cumsum(depth[:-1]) > 0
-        if not all(k.any() for k in keep):
-            return None
-        if all(k.all() for k in keep):
+                first = members.values[0][anchors], L, R
+            live = (R > L).all(axis=0)
+            n = len(order) + 1
+            depth = np.bincount(L[:, live].ravel(), minlength=n)
+            depth -= np.bincount(R[:, live].ravel(), minlength=n)
+            keep[order] &= np.cumsum(depth[:-1]) > 0
+        if keep.all():
             return members, *first
-        members = [mb.subset(k) for mb, k in zip(members, keep)]
+        if not np.bincount(members.group[keep], minlength=members.n_groups).all():
+            return None
+        members = members.subset(keep)
 
 
 def _min_disparity(members) -> float:
@@ -595,9 +595,8 @@ def _min_disparity(members) -> float:
     member counts zero correct, so every combination ties; with two, the
     least float eps at which the window search finds a feasible
     combination."""
-    if len(members[0].stats) == 1:
-        flat = [_Members(mb.idx, mb.stats, np.zeros_like(mb.correct)) for mb in members]
-        return _window_search(flat, math.inf)[1]
+    if len(members.stats) == 1:
+        return _window_search(replace(members, correct=np.zeros_like(members.correct)), math.inf)[1]
     # Statistics lie in [0, 1] and non-negative floats order like their
     # bit patterns, so bisect on the bits.
     lo, hi = 0, int(np.float64(1.0).view(np.int64))
@@ -747,7 +746,7 @@ class _EqualitySearch:
     def __init__(self, problem, constraint: Equality):
         self.problem, self.measure = problem, constraint.measure
         self.members = _members(problem, tracked_statistics(constraint.measure))
-        if any(len(mb.idx) == 0 for mb in self.members):
+        if self.members is None:
             raise InfeasibleConstraintError(
                 "tracked statistic is undefined for every candidate policy"
             )
@@ -855,14 +854,14 @@ def partial_level_up(
     """
     problem = _Problem(scored)
     stat, uncon_vals = _check_level_up_stat(measure, problem)
+    constraint = Equality(measure, epsilon)
     uncon = problem.uncon
     top = max(uncon_vals)
     if all(v == top for v in uncon_vals):
         picks = uncon
         note = "all groups already level; unconstrained policy returned"
-        residual = False
     else:
-        eq_picks = _EqualitySearch(problem, Equality(measure, epsilon)).picks(epsilon)
+        eq_picks = _EqualitySearch(problem, constraint).picks(epsilon)
         picks = list(uncon)
         residual = False
         for g in range(len(uncon)):

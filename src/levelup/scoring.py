@@ -400,43 +400,48 @@ def read_scores_csv(path: str | Path) -> ScoredDataset:
     Group ids follow the order in which names first appear.  Scores are
     clamped as by ``scored_from_arrays``.  The first bad record in file
     order raises a DataError with its row (records counted from 1 for the
-    header, blank ones included) and, for a bad cell, its column.
+    header, blank ones included) and, for a bad cell, its column; a file
+    that is not UTF-8 raises a DataError naming it, after any bad record
+    read before the undecodable byte.
     """
     path = Path(path)
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} has no header row") from None
-        expected = ["score", "label", "group"]
-        if [h.strip() for h in header] != expected:
-            raise DataError(f"score CSV header must be {','.join(expected)}")
-        labels_of, groups_of = _LabelCells(), _GroupCells()
-        parts = []
-        rownum = 2
-        while True:
-            block, failure = [], None
+    try:
+        with handle:
+            reader = csv.reader(handle)
             try:
-                block.extend(itertools.islice(reader, _BLOCK_ROWS))
-            except (csv.Error, ValueError) as exc:
-                # A parse or decode error is raised only once the records
-                # read before it have passed their checks.
-                failure = exc
-            part = _parse_block(block, labels_of, groups_of)
-            if part is None:
-                _check_rows(block, rownum)
-                raise RuntimeError("a score CSV block failed a column check but no row check")
-            if failure is not None:
-                raise failure
-            if not block:
-                break
-            parts.append(part)
-            rownum += len(block)
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path} has no header row") from None
+            expected = ["score", "label", "group"]
+            if [h.strip() for h in header] != expected:
+                raise DataError(f"score CSV header must be {','.join(expected)}")
+            labels_of, groups_of = _LabelCells(), _GroupCells()
+            parts = []
+            rownum = 2
+            while True:
+                block, failure = [], None
+                try:
+                    block.extend(itertools.islice(reader, _BLOCK_ROWS))
+                except (csv.Error, ValueError) as exc:
+                    # A parse or decode error is raised only once the records
+                    # read before it have passed their checks.
+                    failure = exc
+                part = _parse_block(block, labels_of, groups_of)
+                if part is None:
+                    _check_rows(block, rownum)
+                    raise RuntimeError("a score CSV block failed a column check but no row check")
+                if failure is not None:
+                    raise failure
+                if not block:
+                    break
+                parts.append(part)
+                rownum += len(block)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: scores is not UTF-8 text: {exc}") from exc
     if not any(len(scores) for scores, _, _ in parts):
         raise DataError(f"{path} has a header but no data rows")
     scores, labels, groups = (np.concatenate(cols) for cols in zip(*parts))

@@ -1,8 +1,10 @@
-"""Every module-level private name in the package is used in the package.
+"""Every private name in the package is used in the package.
 
 A private (leading underscore, not dunder) def, class or assignment at
 the top of a src/levelup module must be named on some other line of
-src/levelup; otherwise nothing in the package can reach it.
+src/levelup; otherwise nothing in the package can reach it.  Likewise
+every field, method and self attribute of a private class must be read
+as .name on a line of src/levelup other than those defining it.
 """
 
 import ast
@@ -10,6 +12,10 @@ import re
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "levelup").glob("*.py"))
+
+
+def is_private(name):
+    return name.startswith("_") and not name.endswith("__")
 
 
 def private_definitions(tree):
@@ -25,26 +31,83 @@ def private_definitions(tree):
             continue
         for target in targets:
             for name in ast.walk(target):
-                if (isinstance(name, ast.Name) and name.id.startswith("_")
-                        and not name.id.endswith("__")):
+                if isinstance(name, ast.Name) and is_private(name.id):
                     yield name.id, node.lineno
 
 
-def test_no_dead_private_symbols():
-    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in SOURCES}
+def private_class_members(tree):
+    """(name, line) of each field and method of a module-level private
+    class, and of each attribute its methods assign on self; dunders
+    excepted."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and is_private(node.name)):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not item.name.endswith("__"):
+                    yield item.name, item.lineno
+                for sub in ast.walk(item):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        yield sub.attr, sub.lineno
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield item.target.id, item.lineno
+            elif isinstance(item, ast.Assign):
+                for target in item.targets:
+                    if isinstance(target, ast.Name) and not target.id.endswith("__"):
+                        yield target.id, item.lineno
+
+
+def unused(pattern, definitions, lines):
+    """The definitions (path, name, line) that no line of any source
+    matches pattern(name) on, except the lines defining that name."""
+    defined = {}
+    for path, name, lineno in definitions:
+        defined.setdefault(name, set()).add((path, lineno))
     dead = []
-    for path in SOURCES:
-        for name, lineno in private_definitions(ast.parse("\n".join(lines[path]))):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            used = any(word.search(line)
-                       for other, text in lines.items()
-                       for i, line in enumerate(text, 1)
-                       if (other, i) != (path, lineno))
-            if not used:
-                dead.append(f"{path.name}:{lineno} {name}")
+    for name, where in sorted(defined.items()):
+        word = re.compile(pattern(name))
+        if not any(word.search(line)
+                   for other, text in lines.items()
+                   for i, line in enumerate(text, 1)
+                   if (other, i) not in where):
+            dead += [f"{path.name}:{lineno} {name}" for path, lineno in sorted(where)]
+    return dead
+
+
+def sources():
+    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in SOURCES}
+    return lines, {path: ast.parse("\n".join(text)) for path, text in lines.items()}
+
+
+def test_no_dead_private_symbols():
+    lines, trees = sources()
+    dead = []
+    for path, tree in trees.items():
+        dead += unused(lambda name: rf"\b{re.escape(name)}\b",
+                       [(path, name, lineno) for name, lineno in private_definitions(tree)],
+                       lines)
     assert dead == []
+
+
+def test_no_dead_private_class_members():
+    lines, trees = sources()
+    definitions = [(path, name, lineno) for path, tree in trees.items()
+                   for name, lineno in private_class_members(tree)]
+    assert unused(lambda name: rf"\.{re.escape(name)}\b", definitions, lines) == []
 
 
 def test_finds_an_unused_private_function():
     tree = ast.parse("def _unused():\n    pass\n\n_TABLE = {}\n__all__ = []\n")
     assert list(private_definitions(tree)) == [("_unused", 1), ("_TABLE", 4)]
+
+
+def test_finds_the_fields_and_methods_of_a_private_class():
+    tree = ast.parse("class _Table:\n    n: int\n    LIMIT = 3\n"
+                     "    def __init__(self):\n        self.k = 1\n"
+                     "    def total(self):\n        return self.k\n\n"
+                     "class Table:\n    m: int\n")
+    assert list(private_class_members(tree)) == [("n", 2), ("LIMIT", 3), ("k", 5), ("total", 6)]
+    lines = {Path("a.py"): ["class _Table:", "    n: int", "x.total()", "x.k"]}
+    definitions = [(Path("a.py"), "n", 2), (Path("a.py"), "total", 6), (Path("a.py"), "k", 5)]
+    assert unused(lambda name: rf"\.{re.escape(name)}\b", definitions, lines) == ["a.py:2 n"]

@@ -7,26 +7,41 @@ exact ==:
 - shuffling the rows gives identical results;
 - repeating every row 3 times gives identical thresholds and accuracy
   (each statistic is the same ratio, so the same float);
-- halving the scores picks the same candidate indices.
+- halving the scores picks the same candidate indices;
+- the equality frontier equals fresh enforces point by point, and along
+  those enforces accuracy never rises as epsilon shrinks and no achieved
+  disparity exceeds its epsilon.
+
+Every base result, and the 50-point dp and eodds equality frontiers on
+4 x 2000 and 8 x 1000 rows, are pinned by the SHA-256 of
+repr((thresholds, accuracy)), so a search change that moves any of them
+fails here.
 
 The data are drawn as the benchmark draws them: group g has base rate
 BASE_RATES[g], scores are the exact posteriors, and dataset k of a
 workload uses spec seed 16 + k, as at the benchmark's seed 1.
 """
 
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
+import oracle
 from levelup import (
     Equality,
     FairnessMeasure,
     GroupSpec,
+    InfeasibleConstraintError,
     MaximumRate,
     MinimumRate,
     SynthSpec,
     Unconstrained,
     candidate_thresholds,
+    disparity,
     enforce,
+    equality_frontier,
     scored_from_arrays,
     synth_generate,
 )
@@ -108,3 +123,103 @@ def test_halved_scores_pick_the_same_candidates(case):
     for name, c in constraints.items():
         got = enforce(halved, c)
         assert candidate_indices(halved, got) == candidate_indices(scored, base[name]), name
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+BASE_PINS = {
+    "2x1200": {
+        "Unconstrained": "9661c0e33fcc2910027eca1dffb579b936736821a83623223cf900ca8cefd9a1",
+        "MinimumRate tpr 0.8": "3b8e848cd69d676ff50622ccbeca3f3d027579d1a966096db6016b724ef24d3a",
+        "MaximumRate 0.3": "1e95434432d967a79eb75f7ecc1dd1c5baa062b93f4542582bdc721d0757b463",
+        "Equality dp 0.02": "48fd59c42752590a69edb0c90bc2c7213d0ca08b367357126629fde4358ed919",
+        "Equality eodds 0.05": "95b93b4b63c8ea3238022d15d09f50906e2877a747a3f780b527b5ef84b60a7d",
+        "Equality cuae 0.1": "0c496e3823421ccc3e9bee1d83dadfe8eccd6fe1968d8da65eed24422b12f7a3",
+    },
+    "3x300": {
+        "Unconstrained": "fbb3c6c1d67d28b19d99cfc82d57882edee74a2b9c725ecb78d69165d596f975",
+        "MinimumRate tpr 0.8": "2badb20123a8b30af94934f7b28fddd97b85a6094ab895e1740a0fc94484d1c0",
+        "MaximumRate 0.3": "c1ba99e2c23a3f3af8f7a645c61727a09447e97f3886b9dbae7c6be288482fac",
+        "Equality dp 0.02": "12e480c6db358eb906ca647e73faaffa3dbe847e1a8ccf6b3e1fefb187df8c5f",
+        "Equality eodds 0.05": "b49013b3de63cff02bb088c11bf1218c1108d8db2e4f920f377457a8c8afa083",
+        "Equality cuae 0.1": "141775ebce17762bf11bc868af464b04a2dcc955c0e7b4f1e638d66667845491",
+    },
+    "4x2000": {
+        "Unconstrained": "5693fab6b87c20670ef8244eb2e18cea5c6f74595a6b3e434fbd2b10fa08b88d",
+        "MinimumRate tpr 0.8": "c35b1b7ab2395014b69d9bfe1009f6955a27ad6e9c2b2fe621c652c7c5a19c7a",
+        "MaximumRate 0.3": "2795feffba5dc87b404f326bba04fa6de7515daaa49956fbc40bc5cb18da2dc3",
+        "Equality dp 0.02": "f41f4f6204eac2f8e699b127b8102a5152a3ed6a7a7bb84063136b23bf1634a1",
+        "Equality eodds 0.05": "85ab43b0f089d23613424daca10f135e0eff2d0204081334d523790def50c110",
+        "Equality cuae 0.1": "909e10a3817048fd601904189bd2cb1a759603915182d9f201aa8adbb70d72db",
+    },
+    "8x1000": {
+        "Unconstrained": "f2c52ee0891af7d61a892f2b21423496c0312b73392cb769e6ad2951e0f5eabe",
+        "MinimumRate tpr 0.8": "087a97ba505974bd60a7851f392e0565b93af0bc998406bcac0cb3cdb95947b9",
+        "MaximumRate 0.3": "165b30841ee240917ee5b9a2b8a97efd4a63edef7d7235760db2377ec9066fb6",
+        "Equality dp 0.02": "4b273f011ccc26d38d8971ddbe6af323b8dd1ec5d2c23231c6b0f7448a17732a",
+        "Equality eodds 0.05": "818a40a4d025bf5e9405de82d688e658d6f8a60c42d39a8606e698ca74f1fdbd",
+        "Equality cuae 0.1": "89a61c220822ab4c9736c9cd0272c58f306b8ace8cec82c8815a6b74b0f294eb",
+    },
+    "4x50k": {
+        "Unconstrained": "ca8dd378901a2ee3aaabcbd9c781d02ecbaeeb84a4a5977615d9d96bbba1942a",
+        "MinimumRate tpr 0.8": "791820c1eaf21f9df09388e2a5847779da6dc4fea96f841f66c216682f58fcdc",
+        "MaximumRate 0.3": "7f9717a65dacd598f965f893f49bb3b148a0a15bf797186dd25c1fe41993ad5f",
+        "Equality dp 0.02": "0f4f2cd8d754dd8cc2f43505903a6c98c8d20b5e311ac7076933c6bccdc8b282",
+    },
+}
+
+
+def test_base_results_are_pinned(case, request):
+    *_, base = case
+    pins = BASE_PINS[request.node.callspec.params["case"]]
+    got = {name: digest((r.policy.thresholds, r.accuracy)) for name, r in base.items()}
+    assert got == pins
+
+
+@functools.cache
+def scored_set(name):
+    n_groups, rows, seed, _ = SETS[name]
+    return scored_from_arrays(*arrays(n_groups, rows, seed))
+
+
+@functools.cache
+def frontier(name, measure):
+    return equality_frontier(scored_set(name), measure, 50)
+
+
+DP, EODDS = FairnessMeasure.DEMOGRAPHIC_PARITY, FairnessMeasure.EQUALIZED_ODDS
+SWEEPS = pytest.mark.parametrize("measure", [DP, EODDS], ids=lambda m: m.value)
+FRONTIER_PINS = {
+    ("4x2000", "demographic_parity"): "493c4e90fce498fdf437a782bb108abee82df702e599e54654b7bf791d904c61",
+    ("4x2000", "equalized_odds"): "5f4e733af351afdc3948b1c6ae7e58115607cb2e879eb957f5dc752d435a7e97",
+    ("8x1000", "demographic_parity"): "d7b976c044d70a9898266ea72f966f5f05ef0a69a5e52cd057a902b7356ebec3",
+    ("8x1000", "equalized_odds"): "d79adc029fe42443775ffb58eac9e4222ae4aa0449ada49ab8f66d589c684c98",
+}
+
+
+@SWEEPS
+@pytest.mark.parametrize("name", ["4x2000", "8x1000"])
+def test_frontier_points_are_pinned(name, measure):
+    points = frontier(name, measure).points
+    assert digest(tuple((p.policy.thresholds, p.accuracy) for p in points)) == \
+        FRONTIER_PINS[name, measure.value]
+
+
+@SWEEPS
+@pytest.mark.parametrize("name", ["2x1200", "8x1000"])
+def test_frontier_equals_fresh_enforces(name, measure):
+    scored = scored_set(name)
+    assert frontier(name, measure) == oracle.equality_frontier(scored, measure, 50)
+    d0 = disparity(enforce(scored, Unconstrained()).metrics, measure)
+    fresh = []
+    for eps in np.linspace(0.0, d0, 50):
+        try:
+            fresh.append((float(eps), enforce(scored, Equality(measure, float(eps)))))
+        except InfeasibleConstraintError:
+            continue
+    # epsilon ascends, so accuracy must not fall along the list
+    accuracy = [r.accuracy for _, r in fresh]
+    assert accuracy == sorted(accuracy)
+    assert all(disparity(r.metrics, measure) <= eps for eps, r in fresh)

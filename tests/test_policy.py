@@ -130,7 +130,7 @@ class TestCandidateTables:
             assert table.tp.tolist() == [tp for tp, _, _, _ in tallies]
             assert table.fp.tolist() == [fp for _, fp, _, _ in tallies]
             pos = int(np.sum(y == 1))
-            assert (table.n, table.pos, table.neg) == (len(s), pos, len(s) - pos)
+            assert (table.pos, table.neg) == (pos, len(s) - pos)
             # the problem's arrays: NaN exactly where the oracle's statistic
             # is None, the oracle's value (==) everywhere else
             assert problem.correct(g).tolist() == [tp + tn for tp, _, _, tn in tallies]
@@ -482,7 +482,7 @@ class TestSearchAnswers:
                                          max_distinct=8 if n_groups == 2 else 5)
             problem = policy_module._Problem(scored)
             members = policy_module._members(problem, tracked_statistics(measure))
-            if any(len(mb.idx) == 0 for mb in members):
+            if members is None:
                 assert oracle.brute_force_min_disparity(scored, measure) is None
                 continue
             yield rng, scored, members
@@ -679,6 +679,12 @@ class TestLevellingUp:
         part = partial_level_up(s, DP)
         assert part.policy.thresholds == base.policy.thresholds
         assert "already level" in part.policy.provenance.note
+
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
+    def test_partial_rejects_a_bad_epsilon_on_level_groups(self, epsilon):
+        s = scored_of([(0.2, 0, "a"), (0.7, 1, "a"), (0.2, 0, "b"), (0.7, 1, "b")])
+        with pytest.raises(DataError, match="epsilon must be"):
+            partial_level_up(s, DP, epsilon)
 
     def test_full_raises_worse_group_to_best_level(self, gap_scored):
         base = enforce(gap_scored, Unconstrained())

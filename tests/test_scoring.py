@@ -270,7 +270,13 @@ class TestScoresCsvErrors:
             read_scores_csv(path)
         assert (info.value.row, info.value.column) == (3, None)
         path.write_bytes(b"score,label,group\n" + good + b"0.5,1,\xff\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(DataError) as info:
+            read_scores_csv(path)
+        assert str(info.value).startswith(f"{path}: scores is not UTF-8 text: ")
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+        # within the first chunk decoded, before the header is read
+        path.write_bytes(b"score,label,group\n0.5,1,\xff\n")
+        with pytest.raises(DataError, match="scores is not UTF-8 text"):
             read_scores_csv(path)
 
     def test_csv_parse_error_passes_through(self, tmp_path):
