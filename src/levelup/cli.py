@@ -31,6 +31,7 @@ from .data import (
     GroupSpec,
     SynthSpec,
     _read_text,
+    _utf8,
     load_csv,
     save_csv,
     split,
@@ -214,7 +215,8 @@ def _schema_for(cfg: dict) -> CsvSchema:
             raise UsageError(f"--{key.replace('_', '-')} is required with --data")
     features = cfg.get("feature_cols")
     if not features:
-        with open(cfg["data"], newline="", encoding="utf-8") as handle:
+        with open(cfg["data"], newline="", encoding="utf-8") as handle, \
+                _utf8(cfg["data"], "data"):
             header = next(csv.reader(handle), None)
         if not header:
             raise DataError(f"{cfg['data']} has no header row")
@@ -231,10 +233,7 @@ def _schema_for(cfg: dict) -> CsvSchema:
 
 def _load_dataset(cfg: dict):
     if cfg.get("data"):
-        try:
-            return load_csv(cfg["data"], _schema_for(cfg))
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{cfg['data']}: data is not UTF-8 text: {exc}") from exc
+        return load_csv(cfg["data"], _schema_for(cfg))
     return synth_generate(_load_synth_spec(cfg["synth_spec"])).dataset
 
 
@@ -355,8 +354,8 @@ def _cmd_enforce(cfg: dict, outdir: Path) -> list[str]:
     constraint = _build_constraint(cfg)
     scored, split_label = _resolve_scored(cfg)
     problem = P._Problem(scored)
-    result = P._enforce(problem, constraint)
-    baseline = P._enforce(problem, P.Unconstrained())
+    result, baseline = P._finish(
+        problem, [P._choose(problem, constraint), P._choose(problem, P.Unconstrained())])
     prov = result.policy.provenance
     report = A.build_report(
         baseline.metrics,

@@ -8,6 +8,7 @@ display names live in ``group_names``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -49,14 +50,21 @@ class DataError(ValueError):
         self.column = column
 
 
+@contextlib.contextmanager
+def _utf8(path, what: str):
+    """Turn a UnicodeDecodeError raised in the block, while reading the
+    file at path, into a DataError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not UTF-8 text: {exc}") from exc
+
+
 def _read_text(path, what: str) -> str:
     """The text of the UTF-8 file at path; a DataError naming it when it
     is not UTF-8."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {what} is not UTF-8 text: {exc}") from exc
+    with open(path, encoding="utf-8") as handle, _utf8(path, what):
+        return handle.read()
 
 
 def _parse_json_object(text: str, where: str, what: str, parse):
@@ -182,13 +190,15 @@ def load_csv(path: str | Path, schema: CsvSchema) -> LabeledDataset:
     The label is 1 where the cell equals ``schema.positive_label_value``
     and 0 otherwise.  Rows with an empty cell in any named column are
     rejected with a located error; unparseable numeric cells likewise.
+    A file that is not UTF-8 raises a DataError naming it, after any bad
+    row read before the undecodable byte.
     """
     path = Path(path)
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    with handle:
+    with handle, _utf8(path, "data"):
         reader = csv.reader(handle)
         try:
             header = next(reader)

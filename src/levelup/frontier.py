@@ -32,7 +32,9 @@ from .policy import (
     Unconstrained,
     _EqualitySearch,
     _Problem,
+    _choose,
     _enforce,
+    _finish,
     policy_from_json_dict,
     policy_to_json_dict,
 )
@@ -176,15 +178,16 @@ def equality_frontier(
             "unconstrained policy; no frontier exists"
         )
     search = _EqualitySearch(problem, Equality(measure, d0))
-    raw: list[FrontierPoint] = []
-    skipped: list[str] = []
+    specs, skipped = [], []
     for eps in np.linspace(0.0, d0, resolution)[::-1]:
         eps = float(eps)
         try:
-            res = search.enforce(eps)
+            specs.append(search.choose(eps))
         except InfeasibleConstraintError as exc:
             skipped.append(f"epsilon={eps:.6g}: {exc}")
-            continue
+    raw: list[FrontierPoint] = []
+    for (_, _, params, _, _), res in zip(specs, _finish(problem, specs)):
+        eps = params["epsilon"]
         d = M.disparity(res.metrics, measure)
         if d is None or d > eps:
             raise RuntimeError(f"policy at epsilon={eps!r} has disparity {d!r}")
@@ -222,18 +225,19 @@ def mrc_frontier(
             "unconstrained policy; no frontier exists"
         )
     lo = min(vals)
-    raw: list[FrontierPoint] = [_point(uncon, lo, None)]
-    skipped: list[str] = []
+    specs, skipped = [], []
     for tau in np.linspace(lo, 1.0, resolution):
         try:
-            res = _enforce(problem, MinimumRate(statistic, float(tau)))
+            specs.append(_choose(problem, MinimumRate(statistic, float(tau))))
         except InfeasibleConstraintError as exc:
             skipped.append(f"tau={float(tau):.6g}: {exc}")
-            continue
+    raw: list[FrontierPoint] = [_point(uncon, lo, None)]
+    for (_, _, params, _, _), res in zip(specs, _finish(problem, specs)):
+        tau = params["tau"]
         achieved = res.metrics.values(statistic)
         if any(v is None for v in achieved):
-            raise RuntimeError(f"policy at tau={float(tau)!r} leaves {statistic} undefined")
-        raw.append(_point(res, min(achieved), float(tau)))
+            raise RuntimeError(f"policy at tau={tau!r} leaves {statistic} undefined")
+        raw.append(_point(res, min(achieved), tau))
     pts = pareto_prune(_dedup(raw), "max")
     return FrontierResult(
         points=tuple(pts),

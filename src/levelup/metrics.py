@@ -77,8 +77,54 @@ class ConfusionCounts:
 _TALLY_ROWS = 16384
 
 
+def _tally(scored, thresholds) -> np.ndarray:
+    """Confusion cells tp, fp, tn, fn of every group under each row of
+    thresholds (one threshold per group), shape (policies, groups, 4),
+    from one blocked pass over the rows.
+
+    Each group's thresholds are sorted and padded with +inf up to a power
+    of two W above their count.  A branchless binary search gives each row
+    c, the number of its group's thresholds at or below its score, and one
+    bincount per block counts the rows by (group, c, label).  A policy
+    predicts a row positive exactly when its threshold is at or below the
+    score, that is when the row's c is at least the threshold's own, so
+    its cells are suffix sums of those counts over c.
+    """
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    P, k = thresholds.shape
+    W = 1 << P.bit_length()
+    # every edge twice, so the code (group * W + c) * 2 + label indexes
+    # edge c of the row's group and is also the row's bincount cell
+    edges = np.full((k, W, 2), np.inf)
+    edges[:, :P] = np.sort(thresholds, axis=0).T[..., None]
+    edges = edges.ravel()
+
+    def search(code, values):
+        """code + 2c for each value: its group's count c of edges at or
+        below it, for code at c = 0.  Each step reads edge c + h - 1 < W
+        of the group's block, so no index needs a bounds check."""
+        h = W // 2
+        while h:
+            code += (edges[2 * (h - 1):].take(code, mode="clip") <= values) * (2 * h)
+            h //= 2
+        return code
+
+    counts = np.zeros(2 * k * W, dtype=np.int64)
+    for a in range(0, scored.n_rows, _TALLY_ROWS):
+        code = scored.groups[a:a + _TALLY_ROWS] * (2 * W)
+        code += scored.labels[a:a + _TALLY_ROWS]
+        counts += np.bincount(search(code, scored.scores[a:a + _TALLY_ROWS]), minlength=2 * k * W)
+    # above[g * W + j]: the group's rows with c >= j, positives then negatives
+    above = counts.reshape(k, W, 2)[:, ::-1].cumsum(axis=1)[:, ::-1, ::-1].reshape(k * W, 2)
+    # a policy selects the rows whose c is at least its threshold's own
+    start = np.zeros((P, 1), dtype=np.int64) + np.arange(0, 2 * k * W, 2 * W)
+    selected = above[search(start, thresholds) // 2]  # tp, fp
+    return np.concatenate([selected, (above[::W] - selected)[..., ::-1]], axis=-1)
+
+
 def confusion(scored, policy) -> ConfusionCounts:
-    """Tally confusion cells for a scored dataset under a threshold policy.
+    """Tally confusion cells for a scored dataset under a threshold policy:
+    the one-policy case of the tally every returned policy gets.
 
     The policy must name exactly the dataset's groups, in the same order.
     """
@@ -87,17 +133,7 @@ def confusion(scored, policy) -> ConfusionCounts:
             "policy groups do not match dataset groups: "
             f"{policy.group_names} vs {scored.group_names}"
         )
-    k = scored.n_groups
-    thresholds = np.asarray(policy.thresholds)
-    # one cell per (group, prediction, label): columns tn, fn, fp, tp
-    cells = np.zeros(4 * k, dtype=np.int64)
-    for a in range(0, scored.n_rows, _TALLY_ROWS):
-        groups = scored.groups[a:a + _TALLY_ROWS]
-        code = groups * 4
-        code += scored.labels[a:a + _TALLY_ROWS]
-        code += (scored.scores[a:a + _TALLY_ROWS] >= thresholds[groups]) * 2
-        cells += np.bincount(code, minlength=4 * k)
-    tn, fn, fp, tp = (tuple(int(v) for v in col) for col in cells.reshape(k, 4).T)
+    tp, fp, tn, fn = (tuple(col) for col in _tally(scored, [policy.thresholds])[0].T.tolist())
     return ConfusionCounts(
         tp=tp, fp=fp, tn=tn, fn=fn,
         group_names=tuple(scored.group_names),

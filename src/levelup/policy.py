@@ -30,7 +30,11 @@ constraint reads at every candidate.  Each array is computed once, on
 first use, and statistics come from the one numerator and denominator
 definition in metrics (NaN here where metrics reports None).  Every
 returned policy is re-tallied from the rows, and each group's four
-confusion cells in the tally must equal its candidate table's.
+confusion cells in the tally must equal its candidate table's.  The
+tally reads only the scores, labels, groups and thresholds, never the
+tables, and one pass over the rows tallies every policy of a sweep: a
+frontier collects its points' picks first and finishes them together,
+and CLI enforce finishes its policy with the Unconstrained baseline.
 
 Levelling-up floor.  MinimumRate enforcement never returns a policy in
 which any group's constrained statistic falls below the value that group
@@ -635,36 +639,41 @@ def _separable_search(problem, per_group_feasible, stat):
 # ---------------------------------------------------------------------------
 # enforce
 
-def _finish(problem, picks, constraint_name, parameters, search, note=""):
-    """The result of the picks, with its metrics from a direct tally of the
-    rows; a RuntimeError when any group's four confusion cells in the
-    tally differ from its candidate table's."""
+def _finish(problem, specs) -> list[EnforcementResult]:
+    """The results of specs, each (picks, constraint name, parameters,
+    search, note), with their metrics from one direct tally of the rows for
+    them all; a RuntimeError when any policy's four confusion cells in some
+    group differ from that group's candidate table's."""
     scored, tables = problem.scored, problem.tables
-    thresholds = tuple(float(t.thresholds[p]) for t, p in zip(tables, picks))
-    policy = ThresholdPolicy(
-        thresholds=thresholds,
-        group_names=tuple(scored.group_names),
-        provenance=Provenance(
-            constraint=constraint_name,
-            parameters=parameters,
-            search=search,
-            note=note,
-        ),
-    )
-    counts = M.confusion(scored, policy)
-    for g, (t, p) in enumerate(zip(tables, picks)):
-        tp, fp = int(t.tp[p]), int(t.fp[p])
-        cells = (tp, fp, t.neg - fp, t.pos - tp)
-        tally = (counts.tp[g], counts.fp[g], counts.tn[g], counts.fn[g])
-        if cells != tally:
-            raise RuntimeError(
-                f"group {scored.group_names[g]!r}: candidate table counts "
-                f"tp, fp, tn, fn {cells}, tally {tally}"
-            )
-    correct = sum(counts.tp) + sum(counts.tn)
-    return EnforcementResult(
-        policy=policy, metrics=M.group_metrics(counts), accuracy=correct / scored.n_rows
-    )
+    thresholds = [tuple(float(t.thresholds[p]) for t, p in zip(tables, spec[0])) for spec in specs]
+    results = []
+    for (picks, name, parameters, search, note), row, counts in zip(
+            specs, thresholds, M._tally(scored, thresholds).tolist()):
+        for g, (t, p) in enumerate(zip(tables, picks)):
+            tp, fp = int(t.tp[p]), int(t.fp[p])
+            cells = (tp, fp, t.neg - fp, t.pos - tp)
+            if cells != tuple(counts[g]):
+                raise RuntimeError(
+                    f"group {scored.group_names[g]!r}: candidate table counts "
+                    f"tp, fp, tn, fn {cells}, tally {tuple(counts[g])}"
+                )
+        tp, fp, tn, fn = (tuple(col) for col in zip(*counts))
+        policy = ThresholdPolicy(
+            thresholds=row,
+            group_names=tuple(scored.group_names),
+            provenance=Provenance(
+                constraint=name,
+                parameters=parameters,
+                search=search,
+                note=note,
+            ),
+        )
+        metrics = M.group_metrics(
+            M.ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn, group_names=policy.group_names))
+        results.append(EnforcementResult(
+            policy=policy, metrics=metrics, accuracy=(sum(tp) + sum(tn)) / scored.n_rows
+        ))
+    return results
 
 
 def enforce(scored: ScoredDataset, constraint: Constraint) -> EnforcementResult:
@@ -680,8 +689,15 @@ def enforce(scored: ScoredDataset, constraint: Constraint) -> EnforcementResult:
 def _enforce(problem, constraint) -> EnforcementResult:
     """enforce() on a problem, so a sweep builds its tables and arrays
     once."""
+    return _finish(problem, [_choose(problem, constraint)])[0]
+
+
+def _choose(problem, constraint):
+    """The picks enforce() makes for the constraint on the problem, with
+    their provenance: the spec (picks, constraint name, parameters, search,
+    note) that _finish takes.  A sweep finishes its specs together."""
     if isinstance(constraint, Unconstrained):
-        return _finish(problem, problem.uncon, "unconstrained", {}, "exact-grid")
+        return problem.uncon, "unconstrained", {}, "exact-grid", ""
 
     if isinstance(constraint, (MinimumRate, MaximumRate)):
         stat = constraint.statistic
@@ -716,10 +732,10 @@ def _enforce(problem, constraint) -> EnforcementResult:
             kind, params = "minimum_rate", {"statistic": stat, "tau": constraint.tau}
         else:
             kind, params = "maximum_rate", {"statistic": stat, "kappa": constraint.kappa}
-        return _finish(problem, picks, kind, params, "exact-grid")
+        return picks, kind, params, "exact-grid", ""
 
     if isinstance(constraint, Equality):
-        return _EqualitySearch(problem, constraint).enforce(constraint.epsilon)
+        return _EqualitySearch(problem, constraint).choose(constraint.epsilon)
 
     raise DataError(f"unknown constraint {constraint!r}")
 
@@ -768,9 +784,13 @@ class _EqualitySearch:
             f"minimum achievable disparity is {self.min_disparity:.6g}"
         )
 
-    def enforce(self, eps) -> EnforcementResult:
+    def choose(self, eps):
+        """_choose() for Equality(measure, eps)."""
         params = {"measure": self.measure.value, "epsilon": eps}
-        return _finish(self.problem, self.picks(eps), "equality", params, "exact-grid")
+        return self.picks(eps), "equality", params, "exact-grid", ""
+
+    def enforce(self, eps) -> EnforcementResult:
+        return _finish(self.problem, [self.choose(eps)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -872,11 +892,11 @@ def partial_level_up(
             residual = residual or missed
         picks = tuple(picks)
         note = "target level unreachable on the grid for some group" if residual else ""
-    return _finish(
-        problem, picks, "partial_level_up",
+    return _finish(problem, [(
+        picks, "partial_level_up",
         {"measure": measure.value, "epsilon": epsilon, "statistic": stat},
-        "grid-walk", note=note,
-    )
+        "grid-walk", note,
+    )])[0]
 
 
 def full_level_up(scored: ScoredDataset, statistic: str) -> EnforcementResult:
@@ -899,11 +919,11 @@ def full_level_up(scored: ScoredDataset, statistic: str) -> EnforcementResult:
         if missed:
             achieved = float(problem.stat(g, stat)[picks[g]])
             gaps.append(f"{scored.group_names[g]}: residual gap {target - achieved:.6g}")
-    return _finish(
-        problem, tuple(picks), "full_level_up",
+    return _finish(problem, [(
+        picks, "full_level_up",
         {"statistic": stat, "target": target},
-        "grid-walk", note="; ".join(gaps),
-    )
+        "grid-walk", "; ".join(gaps),
+    )])[0]
 
 
 # ---------------------------------------------------------------------------

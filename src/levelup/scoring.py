@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, LabeledDataset, _frozen
+from .data import DataError, LabeledDataset, _frozen, _utf8
 
 __all__ = [
     "SCORE_CLAMP",
@@ -409,39 +409,36 @@ def read_scores_csv(path: str | Path) -> ScoredDataset:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    try:
-        with handle:
-            reader = csv.reader(handle)
+    with handle, _utf8(path, "scores"):
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path} has no header row") from None
+        expected = ["score", "label", "group"]
+        if [h.strip() for h in header] != expected:
+            raise DataError(f"score CSV header must be {','.join(expected)}")
+        labels_of, groups_of = _LabelCells(), _GroupCells()
+        parts = []
+        rownum = 2
+        while True:
+            block, failure = [], None
             try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path} has no header row") from None
-            expected = ["score", "label", "group"]
-            if [h.strip() for h in header] != expected:
-                raise DataError(f"score CSV header must be {','.join(expected)}")
-            labels_of, groups_of = _LabelCells(), _GroupCells()
-            parts = []
-            rownum = 2
-            while True:
-                block, failure = [], None
-                try:
-                    block.extend(itertools.islice(reader, _BLOCK_ROWS))
-                except (csv.Error, ValueError) as exc:
-                    # A parse or decode error is raised only once the records
-                    # read before it have passed their checks.
-                    failure = exc
-                part = _parse_block(block, labels_of, groups_of)
-                if part is None:
-                    _check_rows(block, rownum)
-                    raise RuntimeError("a score CSV block failed a column check but no row check")
-                if failure is not None:
-                    raise failure
-                if not block:
-                    break
-                parts.append(part)
-                rownum += len(block)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: scores is not UTF-8 text: {exc}") from exc
+                block.extend(itertools.islice(reader, _BLOCK_ROWS))
+            except (csv.Error, ValueError) as exc:
+                # A parse or decode error is raised only once the records
+                # read before it have passed their checks.
+                failure = exc
+            part = _parse_block(block, labels_of, groups_of)
+            if part is None:
+                _check_rows(block, rownum)
+                raise RuntimeError("a score CSV block failed a column check but no row check")
+            if failure is not None:
+                raise failure
+            if not block:
+                break
+            parts.append(part)
+            rownum += len(block)
     if not any(len(scores) for scores, _, _ in parts):
         raise DataError(f"{path} has a header but no data rows")
     scores, labels, groups = (np.concatenate(cols) for cols in zip(*parts))

@@ -123,6 +123,27 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(path, schema)
 
+    def test_not_utf8_is_a_located_data_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        schema = CsvSchema(label_column="y", positive_label_value="1",
+                           group_column="g", feature_columns=("x",))
+        good = b"0.25,0,a\n" * 5000
+        # a bad row before the undecodable byte, which lies past the first
+        # chunk of text decoded, is reported first
+        path.write_bytes(b"x,y,g\n0.5,1,b\n0.5,1\n" + good + b"0.5,1,\xff\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, schema)
+        assert (info.value.row, info.value.column) == (3, None)
+        path.write_bytes(b"x,y,g\n" + good + b"0.5,1,\xff\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path, schema)
+        assert str(info.value).startswith(f"{path}: data is not UTF-8 text: ")
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+        # within the first chunk decoded, before the header is read
+        path.write_bytes(b"x,y,g\n0.5,1,\xff\n")
+        with pytest.raises(DataError, match="data is not UTF-8 text"):
+            load_csv(path, schema)
+
     def test_round_trip_through_save(self, tmp_path):
         ds = make_dataset([0, 1, 1, 0], [0, 0, 1, 1])
         path = tmp_path / "out.csv"

@@ -19,6 +19,7 @@ from levelup import (
     pareto_prune,
     scored_from_arrays,
 )
+from levelup import frontier as frontier_module
 from levelup import policy as policy_module
 
 DP = FairnessMeasure.DEMOGRAPHIC_PARITY
@@ -259,13 +260,13 @@ class TestEqualitySweep:
         # every point of the sweep, before pruning, keeps its epsilon
         scored = random_small_scored(np.random.default_rng(3), max_distinct=5)
         seen = []
-        inner = policy_module._finish
+        inner = frontier_module._finish
 
-        def recorded(*args, **kwargs):
-            seen.append(args[3])
-            return inner(*args, **kwargs)
+        def recorded(problem, specs):
+            seen.extend(parameters for _, _, parameters, _, _ in specs)
+            return inner(problem, specs)
 
-        monkeypatch.setattr(policy_module, "_finish", recorded)
+        monkeypatch.setattr(frontier_module, "_finish", recorded)
         equality_frontier(scored, DP, 20)
         eps = [p["epsilon"] for p in seen if "epsilon" in p]
         assert len(eps) == len(set(eps)) == 20

@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 from levelup import (
+    REJECT_ALL,
     ConfusionCounts,
     DataError,
     FairnessMeasure,
@@ -18,6 +19,7 @@ from levelup import (
     scored_from_arrays,
     tracked_statistics,
 )
+from levelup import metrics as metrics_module
 from levelup.metrics import STATISTIC_DIRECTIONS
 
 
@@ -64,6 +66,31 @@ class TestConfusion:
                                               thresholds[g])
                 assert (counts.tp[g], counts.fp[g], counts.fn[g], counts.tn[g]) == \
                     (tp, fp, fn, tn)
+
+    @pytest.mark.parametrize("block_rows", [7, 16384])
+    @pytest.mark.parametrize("policies", [1, 2, 3, 31, 32, 33, 63, 64, 65])
+    def test_many_policies_match_a_per_group_tally(self, policies, block_rows, monkeypatch):
+        # the padded threshold count crosses powers of two; blocks of 7
+        # rows split groups, whose rows come in shuffled order
+        monkeypatch.setattr(metrics_module, "_TALLY_ROWS", block_rows)
+        rng = np.random.default_rng(policies)
+        sizes = [1, int(rng.integers(2, 80)), int(rng.integers(2, 80)), 1]
+        groups = rng.permutation(np.repeat(np.arange(4), sizes))
+        scores = np.round(rng.random(len(groups)), 2)
+        labels = (rng.random(len(groups)) < 0.4).astype(int)
+        s = scored_from_arrays(scores, labels, groups, "abcd")
+        # scores as thresholds, so some rows sit exactly on theirs, and a
+        # small pool, so policies repeat thresholds
+        pool = np.append(rng.choice(s.scores, 5), [0.0, REJECT_ALL])
+        thresholds = rng.choice(pool, (policies, 4))
+        cells = metrics_module._tally(s, thresholds)
+        assert cells.shape == (policies, 4, 4)
+        for p in range(policies):
+            for g in range(4):
+                rows = s.groups == g
+                tp, fp, fn, tn = oracle.tally(s.scores[rows], s.labels[rows],
+                                              thresholds[p, g])
+                assert tuple(cells[p, g].tolist()) == (tp, fp, tn, fn)
 
     def test_group_size(self):
         counts = confusion(two_group_scored(), make_policy([0.5, 0.5], "ab"))

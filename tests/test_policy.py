@@ -641,6 +641,46 @@ class TestMaximumRateSemantics:
         assert result.accuracy == base.accuracy
 
 
+def count_tallies(monkeypatch):
+    """Replace metrics._tally with a wrapper recording how many policies
+    each call tallies."""
+    calls = []
+    inner = metrics_module._tally
+
+    def counted(scored, thresholds):
+        calls.append(len(thresholds))
+        return inner(scored, thresholds)
+
+    monkeypatch.setattr(metrics_module, "_tally", counted)
+    return calls
+
+
+class TestOneTally:
+    """A sweep or a CLI enforce passes over the rows once for all the
+    policies it returns, besides the unconstrained point a sweep needs
+    first."""
+
+    @pytest.mark.parametrize("sweep", [
+        lambda s: equality_frontier(s, DP, resolution=20),
+        lambda s: equality_frontier(s, FairnessMeasure.EQUALIZED_ODDS, resolution=20),
+        lambda s: mrc_frontier(s, "selection_rate", resolution=20),
+        lambda s: mrc_frontier(s, "tpr", resolution=20),
+    ], ids=["dp", "eodds", "min-rate-selection", "min-rate-tpr"])
+    def test_frontier_tallies_twice(self, gap_scored, monkeypatch, sweep):
+        calls = count_tallies(monkeypatch)
+        result = sweep(gap_scored)
+        assert calls == [1, 20 - len(result.skipped)]
+
+    def test_cli_enforce_tallies_once(self, gap_scored, tmp_path, monkeypatch):
+        # the constraint's policy and its Unconstrained baseline together
+        path = tmp_path / "scores.csv"
+        write_scores_csv(gap_scored, path)
+        calls = count_tallies(monkeypatch)
+        assert main(["enforce", "--scores", str(path), "--constraint", "dp",
+                     "--epsilon", "0.02", "--out", str(tmp_path / "out")]) == 0
+        assert calls == [2]
+
+
 class TestLevellingUp:
     def test_partial_keeps_best_group_threshold(self, gap_scored):
         base = enforce(gap_scored, Unconstrained())
@@ -660,17 +700,10 @@ class TestLevellingUp:
     def test_partial_tallies_the_rows_once(self, gap_scored, monkeypatch):
         # the equality targets come from the search's picks; only the
         # returned policy is tallied
-        calls = []
-        confusion = metrics_module.confusion
-
-        def counted(*args):
-            calls.append(args)
-            return confusion(*args)
-
-        monkeypatch.setattr(metrics_module, "confusion", counted)
+        calls = count_tallies(monkeypatch)
         part = partial_level_up(gap_scored, DP, epsilon=0.01)
         assert "already level" not in part.policy.provenance.note
-        assert len(calls) == 1
+        assert calls == [1]
 
     def test_partial_on_already_level_groups_is_a_no_op(self):
         rows = [(0.2, 0, "a"), (0.7, 1, "a"), (0.2, 0, "b"), (0.7, 1, "b")]
@@ -856,16 +889,27 @@ class TestProblem:
 
     def test_finish_compares_every_confusion_cell(self, gap_scored):
         problem = policy_module._Problem(gap_scored)
-        picks = problem.uncon
-        result = policy_module._finish(problem, picks, "unconstrained", {}, "exact-grid")
-        assert result == enforce(gap_scored, Unconstrained())
-        # one more true and one more false positive leave the correct count
+        finish = policy_module._finish
+        specs = [policy_module._choose(problem, c) for c in (
+            Unconstrained(), Equality(DP, 0.05), MinimumRate("tpr", 0.8), MaximumRate(0.3))]
+        alone = [finish(problem, [spec])[0] for spec in specs]
+        assert alone[0] == enforce(gap_scored, Unconstrained())
+        assert finish(problem, specs) == alone
+        # one more true and one more false positive, at one point's pick,
+        # leave the correct count
+        bad = specs[2][0][1]
         table = problem.tables[1]
-        table.tp[picks[1]] += 1
-        table.fp[picks[1]] += 1
-        assert problem.correct(1)[picks[1]] == table.tp[picks[1]] + table.neg - table.fp[picks[1]]
+        table.tp[bad] += 1
+        table.fp[bad] += 1
+        assert problem.correct(1)[bad] == table.tp[bad] + table.neg - table.fp[bad]
         with pytest.raises(RuntimeError, match="group 'b': candidate table counts"):
-            policy_module._finish(problem, picks, "unconstrained", {}, "exact-grid")
+            finish(problem, [specs[2]])
+        with pytest.raises(RuntimeError, match="group 'b': candidate table counts"):
+            finish(problem, specs)
+        # the policies without the changed cell still finish as they did alone
+        good = [k for k, spec in enumerate(specs) if spec[0][1] != bad]
+        assert len(good) >= 2
+        assert finish(problem, [specs[k] for k in good]) == [alone[k] for k in good]
 
 
 class TestSerialization:
