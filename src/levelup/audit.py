@@ -169,16 +169,6 @@ class AuditReport:
         return dict(self.per_group_deltas[gid])
 
 
-def _pooled_accuracy(metrics: GroupMetrics) -> float:
-    num = 0.0
-    den = 0
-    for s in metrics.stats:
-        if s.accuracy is not None:
-            num += s.accuracy * s.size
-            den += s.size
-    return num / den if den else float("nan")
-
-
 _HARM_BY_STATISTIC = {
     "selection_rate": FairnessMeasure.DEMOGRAPHIC_PARITY,
     "tpr": FairnessMeasure.EQUAL_OPPORTUNITY,
@@ -204,22 +194,11 @@ def build_report(
     """
     if baseline.group_names != constrained.group_names:
         raise DataError("baseline and constrained metrics name different groups")
-    deltas = []
-    for gid in range(len(baseline.group_names)):
-        row = []
-        for stat in AUDITED_STATISTICS:
-            row.append(
-                (
-                    stat,
-                    _classify(
-                        stat,
-                        baseline.for_group(gid).get(stat),
-                        constrained.for_group(gid).get(stat),
-                        tolerance,
-                    ),
-                )
-            )
-        deltas.append(tuple(row))
+    deltas = tuple(
+        tuple((stat, _classify(stat, before.get(stat), after.get(stat), tolerance))
+              for stat in AUDITED_STATISTICS)
+        for before, after in zip(baseline.stats, constrained.stats)
+    )
     scan = detect_levelling_down(
         baseline, constrained, DEFAULT_SCAN_STATISTICS, tolerance
     )
@@ -240,9 +219,9 @@ def build_report(
         constraint_description=dict(constraint_description),
         split=split,
         tolerance=tolerance,
-        accuracy_before=_pooled_accuracy(baseline),
-        accuracy_after=_pooled_accuracy(constrained),
-        per_group_deltas=tuple(deltas),
+        accuracy_before=M._pooled_accuracy(baseline),
+        accuracy_after=M._pooled_accuracy(constrained),
+        per_group_deltas=deltas,
         levelled_down_groups=levelled,
         indeterminate=scan.indeterminate,
         harm_annotations=tuple(annotations),

@@ -32,9 +32,10 @@ from .policy import (
     Unconstrained,
     _EqualitySearch,
     _Problem,
+    _cells,
     _choose,
-    _enforce,
     _finish,
+    _metrics,
     policy_from_json_dict,
     policy_to_json_dict,
 )
@@ -147,6 +148,42 @@ def _check_resolution(resolution) -> None:
         raise DataError(f"resolution must be an integer >= 2, got {resolution!r}")
 
 
+def _frontier(problem, target, specs, skipped) -> FrontierResult:
+    """The frontier of a sweep's specs and skipped (value, error) pairs,
+    each in any order: one _finish of the Unconstrained spec with every
+    point's; each point's check against its swept value (for a measure,
+    disparity at most epsilon; for a statistic, minimum at least tau);
+    then the Unconstrained point first, the points and skipped messages
+    by ascending swept value, _dedup and pareto_prune."""
+    equality = isinstance(target, FairnessMeasure)
+    key = "epsilon" if equality else "tau"
+    specs = sorted(specs, key=lambda spec: spec[2][key])
+    uncon, *results = _finish(problem, [_choose(problem, Unconstrained()), *specs])
+    raw = [_point(uncon, _objective(uncon.metrics, target), None)]
+    for spec, res in zip(specs, results):
+        value, achieved = spec[2][key], _objective(res.metrics, target)
+        if achieved is None or (achieved > value if equality else achieved < value):
+            raise RuntimeError(f"policy at {key}={value!r} reaches {achieved!r}")
+        raw.append(_point(res, achieved, value))
+    pts = pareto_prune(_dedup(raw), "min" if equality else "max")
+    return FrontierResult(
+        points=tuple(pts),
+        objective=f"disparity:{target.value}" if equality else f"min_group:{target}",
+        objective_direction="min" if equality else "max",
+        perfectly_fair_point_exists=equality and any(p.objective_value == 0.0 for p in pts),
+        skipped=tuple(f"{key}={v:.6g}: {exc}" for v, exc in sorted(skipped, key=lambda s: s[0])),
+    )
+
+
+def _objective(metrics: M.GroupMetrics, target) -> float | None:
+    """The disparity of a measure, or the minimum group value of a
+    statistic; None when undefined."""
+    if isinstance(target, FairnessMeasure):
+        return M.disparity(metrics, target)
+    values = metrics.values(target)
+    return None if None in values else min(values)
+
+
 def equality_frontier(
     scored: ScoredDataset,
     measure: FairnessMeasure,
@@ -165,13 +202,13 @@ def equality_frontier(
     still satisfies its epsilon takes that policy without a search, and
     once one point is infeasible every tighter point is too, with the
     same minimum achievable disparity.  The points and the skipped
-    messages, in their order, equal those of a fresh
-    enforce(Equality(measure, eps)) at each epsilon in ascending order.
+    messages, in ascending epsilon, equal those of a fresh
+    enforce(Equality(measure, eps)) at each epsilon, and one pass over
+    the rows tallies them all with the unconstrained point.
     """
     _check_resolution(resolution)
     problem = _Problem(scored)
-    uncon = _enforce(problem, Unconstrained())
-    d0 = M.disparity(uncon.metrics, measure)
+    d0 = _objective(_metrics(problem, _cells(problem, problem.uncon)), measure)
     if d0 is None:
         raise DataError(
             f"disparity of {measure.value} is undefined under the "
@@ -180,28 +217,11 @@ def equality_frontier(
     search = _EqualitySearch(problem, Equality(measure, d0))
     specs, skipped = [], []
     for eps in np.linspace(0.0, d0, resolution)[::-1]:
-        eps = float(eps)
         try:
-            specs.append(search.choose(eps))
+            specs.append(search.choose(float(eps)))
         except InfeasibleConstraintError as exc:
-            skipped.append(f"epsilon={eps:.6g}: {exc}")
-    raw: list[FrontierPoint] = []
-    for (_, _, params, _, _), res in zip(specs, _finish(problem, specs)):
-        eps = params["epsilon"]
-        d = M.disparity(res.metrics, measure)
-        if d is None or d > eps:
-            raise RuntimeError(f"policy at epsilon={eps!r} has disparity {d!r}")
-        raw.append(_point(res, d, eps))
-    # back to ascending epsilon: _dedup keeps the first of equal points
-    raw.append(_point(uncon, d0, None))
-    pts = pareto_prune(_dedup(raw[::-1]), "min")
-    return FrontierResult(
-        points=tuple(pts),
-        objective=f"disparity:{measure.value}",
-        objective_direction="min",
-        perfectly_fair_point_exists=any(p.objective_value == 0.0 for p in pts),
-        skipped=tuple(skipped[::-1]),
-    )
+            skipped.append((float(eps), exc))
+    return _frontier(problem, measure, specs, skipped)
 
 
 def mrc_frontier(
@@ -213,39 +233,24 @@ def mrc_frontier(
 
     The objective recorded per point is the achieved minimum group value
     of the statistic.  Sweep values with no feasible policy are skipped
-    and noted, not silently dropped.
+    and noted, not silently dropped.  One pass over the rows tallies
+    every point with the unconstrained one.
     """
     _check_resolution(resolution)
     problem = _Problem(scored)
-    uncon = _enforce(problem, Unconstrained())
-    vals = uncon.metrics.values(statistic)
-    if any(v is None for v in vals):
+    lo = _objective(_metrics(problem, _cells(problem, problem.uncon)), statistic)
+    if lo is None:
         raise DataError(
             f"{statistic} is undefined for some group under the "
             "unconstrained policy; no frontier exists"
         )
-    lo = min(vals)
     specs, skipped = [], []
     for tau in np.linspace(lo, 1.0, resolution):
         try:
             specs.append(_choose(problem, MinimumRate(statistic, float(tau))))
         except InfeasibleConstraintError as exc:
-            skipped.append(f"tau={float(tau):.6g}: {exc}")
-    raw: list[FrontierPoint] = [_point(uncon, lo, None)]
-    for (_, _, params, _, _), res in zip(specs, _finish(problem, specs)):
-        tau = params["tau"]
-        achieved = res.metrics.values(statistic)
-        if any(v is None for v in achieved):
-            raise RuntimeError(f"policy at tau={tau!r} leaves {statistic} undefined")
-        raw.append(_point(res, min(achieved), tau))
-    pts = pareto_prune(_dedup(raw), "max")
-    return FrontierResult(
-        points=tuple(pts),
-        objective=f"min_group:{statistic}",
-        objective_direction="max",
-        perfectly_fair_point_exists=False,
-        skipped=tuple(skipped),
-    )
+            skipped.append((float(tau), exc))
+    return _frontier(problem, statistic, specs, skipped)
 
 
 # ---------------------------------------------------------------------------

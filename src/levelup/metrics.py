@@ -221,6 +221,17 @@ def group_metrics(counts: ConfusionCounts) -> GroupMetrics:
     return GroupMetrics(stats=tuple(stats), group_names=counts.group_names)
 
 
+def _pooled_accuracy(metrics: GroupMetrics) -> float:
+    """The one pooled accuracy: all groups' correct decisions over all
+    their rows, so it equals (sum tp + sum tn) / n of the counts.  A
+    group's correct count is round(accuracy * size), exact below 2**51
+    rows.  Groups with no rows are skipped; NaN when no group has any."""
+    groups = [s for s in metrics.stats if s.size]
+    if not groups:
+        return float("nan")
+    return sum(round(s.accuracy * s.size) for s in groups) / sum(s.size for s in groups)
+
+
 class FairnessMeasure(enum.Enum):
     DEMOGRAPHIC_PARITY = "demographic_parity"
     EQUAL_OPPORTUNITY = "equal_opportunity"

@@ -28,13 +28,14 @@ _Problem: the scored dataset, its candidate tables, the unconstrained
 picks and, per group, the correct count and each statistic the
 constraint reads at every candidate.  Each array is computed once, on
 first use, and statistics come from the one numerator and denominator
-definition in metrics (NaN here where metrics reports None).  Every
-returned policy is re-tallied from the rows, and each group's four
-confusion cells in the tally must equal its candidate table's.  The
-tally reads only the scores, labels, groups and thresholds, never the
-tables, and one pass over the rows tallies every policy of a sweep: a
-frontier collects its points' picks first and finishes them together,
-and CLI enforce finishes its policy with the Unconstrained baseline.
+definition in metrics (NaN here where metrics reports None), as do a
+result's metrics and pooled accuracy, from its picks' table cells.  Every
+returned policy is re-tallied from the rows, and each group's four cells
+in the tally must equal its table's.  The tally reads only the scores,
+labels, groups and thresholds, never the tables, and one pass over the
+rows tallies every policy of a sweep: a frontier finishes its
+unconstrained point with all its points' picks, and CLI enforce
+finishes its policy with the Unconstrained baseline.
 
 Levelling-up floor.  MinimumRate enforcement never returns a policy in
 which any group's constrained statistic falls below the value that group
@@ -639,40 +640,41 @@ def _separable_search(problem, per_group_feasible, stat):
 # ---------------------------------------------------------------------------
 # enforce
 
+def _cells(problem, picks) -> list[tuple[int, int, int, int]]:
+    """Each group's confusion cells (tp, fp, tn, fn) at its pick, read
+    from its candidate table."""
+    picked = ((t, int(t.tp[p]), int(t.fp[p])) for t, p in zip(problem.tables, picks))
+    return [(tp, fp, t.neg - fp, t.pos - tp) for t, tp, fp in picked]
+
+
+def _metrics(problem, cells) -> M.GroupMetrics:
+    """Every group's statistics from its confusion cells."""
+    tp, fp, tn, fn = zip(*cells)
+    return M.group_metrics(M.ConfusionCounts(
+        tp=tp, fp=fp, tn=tn, fn=fn, group_names=tuple(problem.scored.group_names)))
+
+
 def _finish(problem, specs) -> list[EnforcementResult]:
     """The results of specs, each (picks, constraint name, parameters,
-    search, note), with their metrics from one direct tally of the rows for
-    them all; a RuntimeError when any policy's four confusion cells in some
-    group differ from that group's candidate table's."""
+    search, note), with their metrics from the candidate tables' cells; a
+    RuntimeError when any policy's four confusion cells in some group
+    differ from one direct tally of the rows for them all."""
     scored, tables = problem.scored, problem.tables
     thresholds = [tuple(float(t.thresholds[p]) for t, p in zip(tables, spec[0])) for spec in specs]
     results = []
     for (picks, name, parameters, search, note), row, counts in zip(
             specs, thresholds, M._tally(scored, thresholds).tolist()):
-        for g, (t, p) in enumerate(zip(tables, picks)):
-            tp, fp = int(t.tp[p]), int(t.fp[p])
-            cells = (tp, fp, t.neg - fp, t.pos - tp)
-            if cells != tuple(counts[g]):
+        cells = _cells(problem, picks)
+        for g, (cell, count) in enumerate(zip(cells, map(tuple, counts))):
+            if cell != count:
                 raise RuntimeError(
                     f"group {scored.group_names[g]!r}: candidate table counts "
-                    f"tp, fp, tn, fn {cells}, tally {tuple(counts[g])}"
-                )
-        tp, fp, tn, fn = (tuple(col) for col in zip(*counts))
-        policy = ThresholdPolicy(
-            thresholds=row,
-            group_names=tuple(scored.group_names),
-            provenance=Provenance(
-                constraint=name,
-                parameters=parameters,
-                search=search,
-                note=note,
-            ),
-        )
-        metrics = M.group_metrics(
-            M.ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn, group_names=policy.group_names))
+                    f"tp, fp, tn, fn {cell}, tally {count}")
+        policy = ThresholdPolicy(row, tuple(scored.group_names), Provenance(
+            constraint=name, parameters=parameters, search=search, note=note))
+        metrics = _metrics(problem, cells)
         results.append(EnforcementResult(
-            policy=policy, metrics=metrics, accuracy=(sum(tp) + sum(tn)) / scored.n_rows
-        ))
+            policy=policy, metrics=metrics, accuracy=M._pooled_accuracy(metrics)))
     return results
 
 
@@ -760,7 +762,7 @@ class _EqualitySearch:
     """
 
     def __init__(self, problem, constraint: Equality):
-        self.problem, self.measure = problem, constraint.measure
+        self.measure = constraint.measure
         self.members = _members(problem, tracked_statistics(constraint.measure))
         if self.members is None:
             raise InfeasibleConstraintError(
@@ -788,9 +790,6 @@ class _EqualitySearch:
         """_choose() for Equality(measure, eps)."""
         params = {"measure": self.measure.value, "epsilon": eps}
         return self.picks(eps), "equality", params, "exact-grid", ""
-
-    def enforce(self, eps) -> EnforcementResult:
-        return _finish(self.problem, [self.choose(eps)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -851,8 +850,8 @@ def _check_level_up_stat(measure_or_stat, problem):
                 f"{stat} is undefined for every threshold of group "
                 f"{problem.scored.group_names[g]!r}"
             )
-    uncon_vals = [float(problem.stat(g, stat)[p]) for g, p in enumerate(problem.uncon)]
-    if any(np.isnan(v) for v in uncon_vals):
+    uncon_vals = _metrics(problem, _cells(problem, problem.uncon)).values(stat)
+    if None in uncon_vals:
         raise DataError(f"{stat} undefined under the unconstrained policy")
     return stat, uncon_vals
 

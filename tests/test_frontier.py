@@ -219,18 +219,18 @@ class TestEqualitySweep:
             scored = random_small_scored(rng, n_groups=int(rng.integers(2, 4)),
                                          max_distinct=8)
             measure = ENFORCEABLE[i % len(ENFORCEABLE)]
-            search = policy_module._EqualitySearch(policy_module._Problem(scored),
-                                                   Equality(measure, 1.0))
+            problem = policy_module._Problem(scored)
+            search = policy_module._EqualitySearch(problem, Equality(measure, 1.0))
             for eps in rng.choice(np.linspace(0.0, 0.6, 13), size=12):
                 eps = float(eps)
                 try:
                     want = enforce(scored, Equality(measure, eps))
                 except InfeasibleConstraintError as exc:
                     with pytest.raises(InfeasibleConstraintError) as info:
-                        search.enforce(eps)
+                        search.choose(eps)
                     assert str(info.value) == str(exc)
                     continue
-                assert search.enforce(eps) == want
+                assert policy_module._finish(problem, [search.choose(eps)])[0] == want
 
     @pytest.mark.parametrize("measure", [DP, FairnessMeasure.EQUALIZED_ODDS])
     def test_members_built_once(self, gap_scored, monkeypatch, measure):

@@ -172,6 +172,45 @@ class TestGroupStats:
         assert m.values("selection_rate") == (0.5, 0.5)
 
 
+class TestPooledAccuracy:
+    """One pooled accuracy, read from each group's size and accuracy."""
+
+    @staticmethod
+    def pooled(counts):
+        return metrics_module._pooled_accuracy(group_metrics(counts))
+
+    def test_equals_the_counts_accuracy(self):
+        # groups of up to 2**40 rows; some groups have no rows
+        rng = np.random.default_rng(8)
+        for trial in range(2000):
+            k = int(rng.integers(1, 6))
+            cells = rng.integers(0, [2**38, 100][trial % 2], size=(4, k))
+            cells[:, rng.random(k) < 0.2] = 0
+            tp, fp, tn, fn = (tuple(row) for row in cells.tolist())
+            counts = ConfusionCounts(tp, fp, tn, fn, tuple(f"g{g}" for g in range(k)))
+            n = sum(map(sum, (tp, fp, tn, fn)))
+            if n:
+                assert self.pooled(counts) == (sum(tp) + sum(tn)) / n
+            else:
+                assert np.isnan(self.pooled(counts))
+
+    def test_groups_near_2_to_the_40_rows(self):
+        rng = np.random.default_rng(9)
+        for _ in range(500):
+            cells = 2**38 - rng.integers(0, 2**20, size=(4, 3))
+            tp, fp, tn, fn = (tuple(row) for row in cells.tolist())
+            counts = ConfusionCounts(tp, fp, tn, fn, ("a", "b", "c"))
+            assert self.pooled(counts) == (sum(tp) + sum(tn)) / int(cells.sum())
+
+    def test_a_group_with_no_rows_is_skipped(self):
+        counts = ConfusionCounts((3, 0), (1, 0), (2, 0), (4, 0), ("a", "b"))
+        assert group_metrics(counts).for_group(1).accuracy is None
+        assert self.pooled(counts) == 0.5
+
+    def test_no_rows_at_all_is_nan(self):
+        assert np.isnan(self.pooled(ConfusionCounts((0, 0), (0, 0), (0, 0), (0, 0), ("a", "b"))))
+
+
 class TestDisparity:
     def metrics(self):
         counts = confusion(two_group_scored(), make_policy([0.5, 0.5], "ab"))

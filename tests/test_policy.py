@@ -297,6 +297,19 @@ class TestOracleAgreement:
             for constraint in self.constraints(rng):
                 self.check(scored, constraint)
 
+    def test_pooled_accuracy_is_the_result_accuracy(self):
+        # the oracle cases of test_two_groups: the audit's pooled accuracy
+        # of a result's metrics is its accuracy
+        rng = np.random.default_rng(100)
+        for _ in range(20):
+            scored = random_small_scored(rng)
+            for constraint in self.constraints(rng):
+                try:
+                    got = enforce(scored, constraint)
+                except InfeasibleConstraintError:
+                    continue
+                assert metrics_module._pooled_accuracy(got.metrics) == got.accuracy
+
     def test_three_groups(self):
         rng = np.random.default_rng(200)
         for _ in range(6):
@@ -657,8 +670,7 @@ def count_tallies(monkeypatch):
 
 class TestOneTally:
     """A sweep or a CLI enforce passes over the rows once for all the
-    policies it returns, besides the unconstrained point a sweep needs
-    first."""
+    policies it returns, a sweep's unconstrained point included."""
 
     @pytest.mark.parametrize("sweep", [
         lambda s: equality_frontier(s, DP, resolution=20),
@@ -666,10 +678,10 @@ class TestOneTally:
         lambda s: mrc_frontier(s, "selection_rate", resolution=20),
         lambda s: mrc_frontier(s, "tpr", resolution=20),
     ], ids=["dp", "eodds", "min-rate-selection", "min-rate-tpr"])
-    def test_frontier_tallies_twice(self, gap_scored, monkeypatch, sweep):
+    def test_frontier_tallies_once(self, gap_scored, monkeypatch, sweep):
         calls = count_tallies(monkeypatch)
         result = sweep(gap_scored)
-        assert calls == [1, 20 - len(result.skipped)]
+        assert calls == [21 - len(result.skipped)]
 
     def test_cli_enforce_tallies_once(self, gap_scored, tmp_path, monkeypatch):
         # the constraint's policy and its Unconstrained baseline together
