@@ -306,9 +306,12 @@ class _Problem:
 # All groups' members lie in one array, one block per group, and each
 # member carries its rank among the K sorted distinct values of each
 # statistic.  A group's window at lo holds the ranks from lo's to the end
-# rank _ends settles for lo, so one searchsorted over the int64 keys
-# group * K + rank finds every group's window at every anchor.  No window
-# crosses a block, so one sparse table answers every window maximum.
+# rank _ends settles for lo.  Counting the members per key group * K + rank
+# gives below[group * K + x], the number of members in earlier groups or in
+# the group at ranks under x, so every window's ends are two gathers from it.
+# Only the right ends move with eps: the rest, and the sparse table that
+# answers every window maximum (no window crosses a block), is kept on the
+# member set and built once for it.
 #
 # The tie-break runs on the same structure.  A combination reaching the
 # best total takes each group's window best at its own lo, which is a
@@ -337,7 +340,9 @@ class _Members:
     with the first statistic's offset from the segment's anchor in place of
     the first statistic.  values holds each statistic's sorted distinct
     values when _members built the set, and rank each member's index in
-    them, so a sweep and a bisection rank the values once."""
+    them, so a sweep and a bisection rank the values once.  The cached
+    properties depend on the members alone, never on eps; subset builds a
+    new set, with its own."""
 
     n_groups: int
     group: np.ndarray
@@ -346,6 +351,30 @@ class _Members:
     rank: np.ndarray  # one row per tracked statistic
     values: list
     correct: np.ndarray
+
+    @functools.cached_property
+    def layouts(self) -> list:
+        """Per statistic, (anchors, order, base, below, L): the ranks the
+        members hold, the order by (group, rank), below and each group's
+        offset base[g] = g * K into it, and each group's window start
+        L = below[base + anchors]."""
+        layouts = []
+        for rank, values in zip(self.rank, self.values):
+            K = len(values)
+            key = self.group * K + rank
+            count = np.bincount(key, minlength=self.n_groups * K)
+            below = np.concatenate(([0], np.cumsum(count)))
+            base = np.arange(self.n_groups)[:, None] * K
+            anchors = np.flatnonzero(count.reshape(self.n_groups, K).any(axis=0))
+            layouts.append((anchors, np.argsort(key, kind="stable"), base, below, below[base + anchors]))
+        return layouts
+
+    @functools.cached_property
+    def run_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys correct * n + position, sorted, and their positions."""
+        n = len(self.correct)
+        keys = np.sort(self.correct * n + np.arange(n))
+        return keys, keys % n
 
     @functools.cached_property
     def sparse(self) -> np.ndarray:
@@ -399,13 +428,10 @@ def _ends(values, eps):
 def _windows(members, s, ends):
     """(anchors, order, L, R): the ranks of the distinct values of
     statistic s the members hold, and each group's window [L, R) at them
-    among the members in order by (group, statistic s)."""
-    K = len(members.values[s])
-    key = members.group * K + members.rank[s]
-    order = np.argsort(key, kind="stable")
-    key, base = key[order], np.arange(members.n_groups)[:, None] * K
-    anchors = np.flatnonzero(np.bincount(members.rank[s], minlength=K))
-    return anchors, order, np.searchsorted(key, base + anchors), np.searchsorted(key, base + ends[anchors])
+    among the members in order by (group, statistic s).  Only R, one
+    gather from the member set's prefix counts, depends on ends."""
+    anchors, order, base, below, L = members.layouts[s]
+    return anchors, order, L, below[base + ends[anchors]]
 
 
 def _totals(members, L, R):
@@ -420,12 +446,12 @@ def _totals(members, L, R):
 
 def _runs(members, L, R, best):
     """Each window's best-holding members: one run of the positions sorted
-    by (group, correct, position), the keys correct * n + position since a
-    group's positions are one block.  (positions, run starts, run lengths)."""
-    n = len(members.correct)
-    keys = np.sort(members.correct * n + np.arange(n))
-    lo = np.searchsorted(keys, best * n + L)
-    return keys % n, lo, np.searchsorted(keys, best * n + R) - lo
+    by (group, correct, position), the member set's sorted keys correct * n
+    + position since a group's positions are one block.  (positions, run
+    starts, run lengths)."""
+    keys, pos = members.run_keys
+    lo = np.searchsorted(keys, best * len(keys) + L)
+    return pos, lo, np.searchsorted(keys, best * len(keys) + R) - lo
 
 
 def _ranges(lo, count):
@@ -465,7 +491,8 @@ def _window_search(members, eps):
     none is feasible.
     """
     if len(members.stats) == 2:
-        return _box_scan(members, eps)
+        ends = [_ends(v, eps) for v in members.values]
+        return _box_scan(_prune(members, ends), ends)
     anchors, _, L, R = _windows(members, 0, _ends(members.values[0], eps))
     best, total = _totals(members, L, R)
     top = int(total.max())
@@ -481,22 +508,20 @@ def _window_search(members, eps):
     return top, float(d), _pick(members, runs, value, d, np.flatnonzero(least == d)[-1:])
 
 
-def _box_scan(members, eps):
+def _box_scan(pruned, ends):
     """Two statistics: for each first-statistic anchor, the one-statistic
     search on the second statistic over the anchor's windows, every member
     carrying its first-statistic offset from the anchor.
 
-    _prune first drops the members no feasible combination can use, and
-    its first-statistic windows bound each anchor's total.  Anchors are
-    taken best bound first, in chunks (see _chunk_search) of 2, 4, 8, ...
-    anchors holding at most _CHUNK_MEMBERS window members, until the bound
-    falls below the best exact total found, so every anchor that can reach
-    it is searched.  The pick is the smallest (d, -anchor, pick): least
+    pruned is what _prune returns at each statistic's ends: the members a
+    feasible combination can use and the first-statistic windows, which
+    bound each anchor's total.  Anchors are taken best bound first, in
+    chunks (see _chunk_search) of 2, 4, 8, ... anchors holding at most
+    _CHUNK_MEMBERS window members, until the bound falls below the best
+    exact total found, so every anchor that can reach it is searched.  The pick is the smallest (d, -anchor, pick): least
     disparity, then the higher minimum of the first statistic, then the
     smallest indices.
     """
-    ends = [_ends(v, eps) for v in members.values]
-    pruned = _prune(members, ends)
     if pruned is None:
         return -1, math.inf, None
     members, anchors, L, R = pruned
@@ -531,7 +556,10 @@ def _chunk_search(members, outer, L, R, ends, floor):
     position, over S segments, K second-statistic values and n members.
     They need groups * S * K * n < 2**63: groups * S is at most
     _CHUNK_MEMBERS, or groups when one anchor overflows it, and K <= n.
-    The inner anchors are the distinct (segment, rank) pairs.  Returns,
+    The inner anchors are the distinct (segment, rank) pairs, and the
+    windows are binary searches over the keys: a prefix count per (group,
+    segment, rank) cell, even over the chunk's own distinct ranks, has up
+    to (window members)**2 cells and was slower on two groups.  Returns,
     when the chunk's best total reaches floor, (that total, the smallest
     (d, -anchor, pick) among the anchors reaching it); None otherwise.
     """
@@ -597,18 +625,26 @@ def _prune(members, ends):
 def _min_disparity(members) -> float:
     """The smallest disparity any combination reaches.  With one
     statistic, the window search's d without a disparity bound when every
-    member counts zero correct, so every combination ties; with two, the
-    least float eps at which the window search finds a feasible
-    combination."""
+    member counts zero correct, so every combination ties; the zero-correct
+    copy shares the members' layouts, which read only groups and ranks.
+    With two, the least float eps at which the window search finds a
+    feasible combination.  Feasible sets are nested, so _prune at a
+    smaller eps, started from the members it kept at a larger one, reaches
+    the fixed point it reaches from all of them: each step of the
+    bisection starts from the last feasible step's members."""
     if len(members.stats) == 1:
-        return _window_search(replace(members, correct=np.zeros_like(members.correct)), math.inf)[1]
+        zero = replace(members, correct=np.zeros_like(members.correct))
+        zero.layouts = members.layouts
+        return _window_search(zero, math.inf)[1]
     # Statistics lie in [0, 1] and non-negative floats order like their
     # bit patterns, so bisect on the bits.
     lo, hi = 0, int(np.float64(1.0).view(np.int64))
     while lo < hi:
         mid = (lo + hi) // 2
-        if _window_search(members, float(np.int64(mid).view(np.float64)))[0] >= 0:
-            hi = mid
+        ends = [_ends(v, float(np.int64(mid).view(np.float64))) for v in members.values]
+        pruned = _prune(members, ends)
+        if _box_scan(pruned, ends)[0] >= 0:
+            hi, members = mid, pruned[0]
         else:
             lo = mid + 1
     return float(np.int64(lo).view(np.float64))

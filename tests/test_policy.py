@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -484,15 +485,16 @@ class TestSearchAnswers:
     """The equality search reads its answers off one window search: the
     minimum disparity is that search's d when every combination ties,
     and a pick's d is the disparity the pick reaches.  Both equal the
-    brute-force figures exactly."""
+    brute-force figures exactly, at every group count from 2 to 5."""
 
     @staticmethod
     def cases(measure):
         rng = np.random.default_rng(900)
         for i in range(16):
-            n_groups = 2 + i % 2
+            n_groups = 2 + i % 4
+            # at most 4 ** 5 combinations, so the brute force stays quick
             scored = random_small_scored(rng, n_groups=n_groups,
-                                         max_distinct=8 if n_groups == 2 else 5)
+                                         max_distinct={2: 8, 3: 5, 4: 4, 5: 3}[n_groups])
             problem = policy_module._Problem(scored)
             members = policy_module._members(problem, tracked_statistics(measure))
             if members is None:
@@ -515,6 +517,101 @@ class TestSearchAnswers:
                 assert top >= 0
                 result = enforce(scored, Equality(measure, eps))
                 assert d == disparity(result.metrics, measure)
+
+
+class TestWindowLayouts:
+    """What a member set's windows need that no epsilon moves is built
+    once per member set: prefix counts whose gathers are the windows'
+    ends, and the survivors of _prune at one epsilon start it at a
+    smaller one."""
+
+    @staticmethod
+    def searchsorted_windows(members, s, ends):
+        """The windows by binary search over the sorted keys group * K + rank."""
+        K = len(members.values[s])
+        key = members.group * K + members.rank[s]
+        order = np.argsort(key, kind="stable")
+        key, base = key[order], np.arange(members.n_groups)[:, None] * K
+        anchors = np.flatnonzero(np.bincount(members.rank[s], minlength=K))
+        return anchors, order, np.searchsorted(key, base + anchors), np.searchsorted(key, base + ends[anchors])
+
+    @staticmethod
+    def random_members(rng, sizes, K):
+        """Members of len(sizes) groups with ranks of two statistics among K
+        values; a group's ranks are drawn from a few, so most anchors find
+        some group without a member at their rank."""
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        rank = np.stack([np.concatenate([rng.choice(rng.integers(0, K, 3), n) for n in sizes])
+                         for _ in range(2)])
+        keep = np.lexsort((rank[1], rank[0], group))
+        values = [np.arange(K) / K] * 2
+        return policy_module._Members(
+            len(sizes), group[keep], keep, np.stack([v[r] for v, r in zip(values, rank[:, keep])]),
+            rank[:, keep], values, rng.integers(0, 5, len(keep)))
+
+    def test_prefix_gathers_equal_binary_search(self):
+        rng = np.random.default_rng(17)
+        for i in range(300):
+            K = 1 if i % 10 == 0 else int(rng.integers(2, 30))
+            sizes = rng.integers(1, 12, int(rng.integers(1, 6)))
+            sizes[rng.integers(len(sizes))] = 1  # a single-member group
+            members = self.random_members(rng, sizes, K)
+            for s in range(2):
+                # any non-decreasing ends past their own rank
+                ends = np.maximum.accumulate(np.maximum(rng.integers(1, K + 1, K), np.arange(1, K + 1)))
+                got = policy_module._windows(members, s, ends)
+                want = self.searchsorted_windows(members, s, ends)
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("measure", [ODDS, CUAE], ids=lambda m: m.value)
+    def test_warm_prune_equals_cold_prune(self, measure):
+        rng = np.random.default_rng(31)
+        compared = warm_from_fewer = 0
+        for i in range(60):
+            scored = random_small_scored(rng, n_groups=2 + i % 4, max_distinct=10)
+            members = policy_module._members(policy_module._Problem(scored), tracked_statistics(measure))
+            if members is None:
+                continue
+            for _ in range(4):
+                small, large = np.sort(rng.choice([0.0, *rng.uniform(0.0, 1.0, 3)], 2))
+                ends = [[policy_module._ends(v, eps) for v in members.values] for eps in (small, large)]
+                cold = policy_module._prune(members, ends[0])
+                start = policy_module._prune(members, ends[1])
+                warm = None if start is None else policy_module._prune(start[0], ends[0])
+                assert (cold is None) == (warm is None)
+                if cold is not None:
+                    compared += 1
+                    warm_from_fewer += len(start[0].idx) < len(members.idx)
+                    for a, b in zip([*cold[1:], cold[0].idx, cold[0].group], [*warm[1:], warm[0].idx, warm[0].group]):
+                        np.testing.assert_array_equal(a, b)
+        assert compared >= 50
+        assert warm_from_fewer >= 20
+
+    @pytest.mark.parametrize("measure", [DP, OAE, ODDS, CUAE], ids=lambda m: m.value)
+    def test_frontier_builds_each_layout_once_per_member_set(self, gap_scored, monkeypatch, measure):
+        # on the small set, OAE and CUAE frontiers skip points, so the
+        # minimum disparity is searched too
+        small = measure in (OAE, CUAE)
+        scored = random_small_scored(np.random.default_rng(24), max_distinct=6) if small else gap_scored
+        want = oracle.equality_frontier(scored, measure, 50)
+        built = {}
+        for name in ("layouts", "run_keys", "sparse"):
+            def counted(members, func=getattr(policy_module._Members, name).func, name=name):
+                built.setdefault(name, []).append(members)
+                return func(members)
+            prop = functools.cached_property(counted)
+            prop.__set_name__(policy_module._Members, name)
+            monkeypatch.setattr(policy_module._Members, name, prop)
+        got = equality_frontier(scored, measure, 50)
+        assert got == want
+        assert len(got.skipped) >= small
+        for sets in built.values():
+            assert len({id(m) for m in sets}) == len(sets)
+        if len(tracked_statistics(measure)) == 1:
+            # one member set; the minimum disparity's zero-correct copy
+            # shares its layouts
+            assert len(built["layouts"]) == 1
 
 
 def smallest_spread(value_lists):
