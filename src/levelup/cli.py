@@ -408,12 +408,13 @@ def _cmd_audit(cfg: dict, outdir: Path) -> list[str]:
     if cfg.get("baseline_policy"):
         base_policy = P.policy_from_json_dict(
             _load_json(cfg["baseline_policy"], "baseline policy"))
-        baseline = M.group_metrics(M.confusion(scored, base_policy))
         base_desc = {"kind": "policy", "path": str(cfg["baseline_policy"])}
     else:
-        baseline = P.enforce(scored, P.Unconstrained()).metrics
+        problem = P._Problem(scored)
+        base_policy = P._policy(problem, P._choose(problem, P.Unconstrained()))
         base_desc = {"kind": "unconstrained"}
-    constrained = M.group_metrics(M.confusion(scored, policy))
+    # the baseline and the audited policy from one pass over the rows
+    baseline, constrained = map(M.group_metrics, M._confusions(scored, [base_policy, policy]))
     report = A.build_report(
         baseline,
         constrained,

@@ -128,16 +128,21 @@ def confusion(scored, policy) -> ConfusionCounts:
 
     The policy must name exactly the dataset's groups, in the same order.
     """
-    if tuple(policy.group_names) != tuple(scored.group_names):
-        raise DataError(
-            "policy groups do not match dataset groups: "
-            f"{policy.group_names} vs {scored.group_names}"
-        )
-    tp, fp, tn, fn = (tuple(col) for col in _tally(scored, [policy.thresholds])[0].T.tolist())
-    return ConfusionCounts(
-        tp=tp, fp=fp, tn=tn, fn=fn,
-        group_names=tuple(scored.group_names),
-    )
+    return _confusions(scored, [policy])[0]
+
+
+def _confusions(scored, policies) -> list[ConfusionCounts]:
+    """confusion() of each policy, from one tally of the rows."""
+    names = tuple(scored.group_names)
+    for policy in policies:
+        if tuple(policy.group_names) != names:
+            raise DataError(
+                "policy groups do not match dataset groups: "
+                f"{policy.group_names} vs {scored.group_names}"
+            )
+    cells = _tally(scored, [policy.thresholds for policy in policies])
+    return [ConfusionCounts(*map(tuple, counts), group_names=names)
+            for counts in cells.transpose(0, 2, 1).tolist()]
 
 
 # The one definition of every statistic: its numerator and denominator in

@@ -34,8 +34,9 @@ returned policy is re-tallied from the rows, and each group's four cells
 in the tally must equal its table's.  The tally reads only the scores,
 labels, groups and thresholds, never the tables, and one pass over the
 rows tallies every policy of a sweep: a frontier finishes its
-unconstrained point with all its points' picks, and CLI enforce
-finishes its policy with the Unconstrained baseline.
+unconstrained point with all its points' picks, CLI enforce finishes
+its policy with the Unconstrained baseline, and CLI audit tallies its
+policy with its baseline.
 
 Levelling-up floor.  MinimumRate enforcement never returns a policy in
 which any group's constrained statistic falls below the value that group
@@ -326,6 +327,10 @@ class _Problem:
 # Two statistics nest the search: at each first-statistic anchor, the
 # one-statistic search on the second statistic over the anchor's windows,
 # which _box_scan answers for many anchors at once (see _chunk_search).
+# Like one statistic, it searches the whole member set at every eps:
+# members no feasible combination uses only widen windows, never change an
+# answer, so a sweep's one member set and its caches serve every eps.
+# _prune, which drops them, runs only in _min_disparity's bisection.
 
 # Window members, over all groups, that one chunk of _box_scan holds at
 # most (a chunk has at least one anchor).
@@ -488,11 +493,12 @@ def _window_search(members, eps):
     group: (top, d, pick), where top is the best total correct, d the least
     disparity among the combinations reaching it and pick their first by
     higher minimum, then smallest candidate indices; (-1, inf, None) when
-    none is feasible.
+    none is feasible.  Both statistic counts search the members as given,
+    never a subset, so the set's cached layouts serve every eps; two
+    statistics go to _box_scan.
     """
     if len(members.stats) == 2:
-        ends = [_ends(v, eps) for v in members.values]
-        return _box_scan(_prune(members, ends), ends)
+        return _box_scan(members, [_ends(v, eps) for v in members.values])
     anchors, _, L, R = _windows(members, 0, _ends(members.values[0], eps))
     best, total = _totals(members, L, R)
     top = int(total.max())
@@ -508,23 +514,23 @@ def _window_search(members, eps):
     return top, float(d), _pick(members, runs, value, d, np.flatnonzero(least == d)[-1:])
 
 
-def _box_scan(pruned, ends):
+def _box_scan(members, ends):
     """Two statistics: for each first-statistic anchor, the one-statistic
     search on the second statistic over the anchor's windows, every member
     carrying its first-statistic offset from the anchor.
 
-    pruned is what _prune returns at each statistic's ends: the members a
-    feasible combination can use and the first-statistic windows, which
-    bound each anchor's total.  Anchors are taken best bound first, in
-    chunks (see _chunk_search) of 2, 4, 8, ... anchors holding at most
-    _CHUNK_MEMBERS window members, until the bound falls below the best
-    exact total found, so every anchor that can reach it is searched.  The pick is the smallest (d, -anchor, pick): least
+    The first-statistic windows bound each anchor's total.  Anchors are
+    taken best bound first, in chunks (see _chunk_search) of 2, 4, 8, ...
+    anchors holding at most _CHUNK_MEMBERS window members, until the bound
+    falls below the best exact total found, so every anchor that can reach
+    it is searched.  The pick is the smallest (d, -anchor, pick): least
     disparity, then the higher minimum of the first statistic, then the
-    smallest indices.
+    smallest indices.  The scan takes every member, usable or not: a
+    member no feasible combination uses leaves each bound an upper bound
+    and each anchor's inner search exact.
     """
-    if pruned is None:
-        return -1, math.inf, None
-    members, anchors, L, R = pruned
+    anchors, _, L, R = _windows(members, 0, ends[0])
+    anchors = members.values[0][anchors]
     bound = _totals(members, L, R)[1]
     order = np.argsort(-bound, kind="stable")[:np.count_nonzero(bound >= 0)]
     descending = -bound[order]
@@ -553,9 +559,12 @@ def _chunk_search(members, outer, L, R, ends, floor):
     group's windows at them, and ends each second-statistic rank's end
     rank.  The chunk lays the windows end to end, one segment per anchor,
     in order of the int64 keys ((group * S + segment) * K + rank) * n +
-    position, over S segments, K second-statistic values and n members.
-    They need groups * S * K * n < 2**63: groups * S is at most
-    _CHUNK_MEMBERS, or groups when one anchor overflows it, and K <= n.
+    position, over S segments, K second-statistic values and the n members
+    of the whole set.  They need groups * S * K * n < 2**63: each segment
+    holds a member of every group, so groups * S is at most _CHUNK_MEMBERS,
+    or groups when one anchor overflows it, and K <= n since the values
+    are the set's own.  So max(_CHUNK_MEMBERS, groups) * n * n < 2**63
+    suffices: under 2**25 members in at most _CHUNK_MEMBERS groups.
     The inner anchors are the distinct (segment, rank) pairs, and the
     windows are binary searches over the keys: a prefix count per (group,
     segment, rank) cell, even over the chunk's own distinct ranks, has up
@@ -596,45 +605,56 @@ def _chunk_search(members, outer, L, R, ends, floor):
 
 
 def _prune(members, ends):
-    """Drop the members that no feasible combination can use.
+    """The members that some feasible combination can use; None when a
+    group has none.
 
     For each statistic, a usable member lies in the window of some anchor
     at which every group's window is non-empty.  Dropping members can
-    empty other windows, so this repeats until nothing changes.  None
-    when a group runs out of members; otherwise the members, the
-    first-statistic anchor values and each group's windows L, R at them.
+    empty other windows, so this repeats until nothing changes.  The
+    window search is exact without it; _min_disparity's bisection runs it
+    for its None, which settles an infeasible step without a scan, and
+    for its survivors, which start the next step.
     """
     while True:
         keep = np.ones(len(members.idx), dtype=bool)
         for s, end in enumerate(ends):
-            anchors, order, L, R = _windows(members, s, end)
-            if s == 0:
-                first = members.values[0][anchors], L, R
+            _, order, L, R = _windows(members, s, end)
             live = (R > L).all(axis=0)
             n = len(order) + 1
             depth = np.bincount(L[:, live].ravel(), minlength=n)
             depth -= np.bincount(R[:, live].ravel(), minlength=n)
             keep[order] &= np.cumsum(depth[:-1]) > 0
         if keep.all():
-            return members, *first
+            return members
         if not np.bincount(members.group[keep], minlength=members.n_groups).all():
             return None
         members = members.subset(keep)
 
 
 def _min_disparity(members) -> float:
-    """The smallest disparity any combination reaches.  With one
-    statistic, the window search's d without a disparity bound when every
-    member counts zero correct, so every combination ties; the zero-correct
-    copy shares the members' layouts, which read only groups and ranks.
+    """The smallest disparity any combination reaches.
+
+    With one statistic, the window search's d without a disparity bound
+    when every member counts zero correct, so every combination ties.
+    The zero-correct copy is given what _Members would build for it: the
+    members' layouts, which read only groups and ranks, a sparse table of
+    zeros (-1 past the end) and the run keys 0 * n + position.
+
     With two, the least float eps at which the window search finds a
     feasible combination.  Feasible sets are nested, so _prune at a
     smaller eps, started from the members it kept at a larger one, reaches
     the fixed point it reaches from all of them: each step of the
-    bisection starts from the last feasible step's members."""
+    bisection starts from the last feasible step's survivors, and a step
+    whose _prune returns None is infeasible without a scan.
+    """
     if len(members.stats) == 1:
+        n = len(members.correct)
         zero = replace(members, correct=np.zeros_like(members.correct))
         zero.layouts = members.layouts
+        zero.run_keys = np.arange(n), np.arange(n)
+        zero.sparse = np.zeros((max(n.bit_length(), 1), n), dtype=np.int64)
+        for k in range(1, len(zero.sparse)):
+            zero.sparse[k, n - (1 << k) + 1:] = -1
         return _window_search(zero, math.inf)[1]
     # Statistics lie in [0, 1] and non-negative floats order like their
     # bit patterns, so bisect on the bits.
@@ -642,9 +662,9 @@ def _min_disparity(members) -> float:
     while lo < hi:
         mid = (lo + hi) // 2
         ends = [_ends(v, float(np.int64(mid).view(np.float64))) for v in members.values]
-        pruned = _prune(members, ends)
-        if _box_scan(pruned, ends)[0] >= 0:
-            hi, members = mid, pruned[0]
+        survivors = _prune(members, ends)
+        if survivors is not None and _box_scan(survivors, ends)[0] >= 0:
+            hi, members = mid, survivors
         else:
             lo = mid + 1
     return float(np.int64(lo).view(np.float64))
@@ -690,24 +710,32 @@ def _metrics(problem, cells) -> M.GroupMetrics:
         tp=tp, fp=fp, tn=tn, fn=fn, group_names=tuple(problem.scored.group_names)))
 
 
+def _policy(problem, spec) -> ThresholdPolicy:
+    """The policy of a spec (picks, constraint name, parameters, search,
+    note): each group's threshold at its pick."""
+    picks, name, parameters, search, note = spec
+    return ThresholdPolicy(
+        tuple(float(t.thresholds[p]) for t, p in zip(problem.tables, picks)),
+        tuple(problem.scored.group_names),
+        Provenance(constraint=name, parameters=parameters, search=search, note=note))
+
+
 def _finish(problem, specs) -> list[EnforcementResult]:
     """The results of specs, each (picks, constraint name, parameters,
     search, note), with their metrics from the candidate tables' cells; a
     RuntimeError when any policy's four confusion cells in some group
     differ from one direct tally of the rows for them all."""
-    scored, tables = problem.scored, problem.tables
-    thresholds = [tuple(float(t.thresholds[p]) for t, p in zip(tables, spec[0])) for spec in specs]
+    scored = problem.scored
+    policies = [_policy(problem, spec) for spec in specs]
     results = []
-    for (picks, name, parameters, search, note), row, counts in zip(
-            specs, thresholds, M._tally(scored, thresholds).tolist()):
-        cells = _cells(problem, picks)
+    for spec, policy, counts in zip(
+            specs, policies, M._tally(scored, [p.thresholds for p in policies]).tolist()):
+        cells = _cells(problem, spec[0])
         for g, (cell, count) in enumerate(zip(cells, map(tuple, counts))):
             if cell != count:
                 raise RuntimeError(
                     f"group {scored.group_names[g]!r}: candidate table counts "
                     f"tp, fp, tn, fn {cell}, tally {count}")
-        policy = ThresholdPolicy(row, tuple(scored.group_names), Provenance(
-            constraint=name, parameters=parameters, search=search, note=note))
         metrics = _metrics(problem, cells)
         results.append(EnforcementResult(
             policy=policy, metrics=metrics, accuracy=M._pooled_accuracy(metrics)))

@@ -12,10 +12,10 @@ exact ==:
   those enforces accuracy never rises as epsilon shrinks and no achieved
   disparity exceeds its epsilon.
 
-Every base result, and the 50-point dp and eodds equality frontiers on
-4 x 2000 and 8 x 1000 rows, are pinned by the SHA-256 of
-repr((thresholds, accuracy)), so a search change that moves any of them
-fails here.
+Every base result, the 50-point dp and eodds equality frontiers on
+4 x 2000 and 8 x 1000 rows and the cuae ones on 2 x 1200 and 4 x 2000
+rows are pinned by the SHA-256 of repr((thresholds, accuracy)), so a
+search change that moves any of them fails here.
 
 The data are drawn as the benchmark draws them: group g has base rate
 BASE_RATES[g], scores are the exact posteriors, and dataset k of a
@@ -190,12 +190,19 @@ def frontier(name, measure):
 
 
 DP, EODDS = FairnessMeasure.DEMOGRAPHIC_PARITY, FairnessMeasure.EQUALIZED_ODDS
+CUAE = FairnessMeasure.CONDITIONAL_USE_ACCURACY_EQUALITY
 SWEEPS = pytest.mark.parametrize("measure", [DP, EODDS], ids=lambda m: m.value)
 FRONTIER_PINS = {
     ("4x2000", "demographic_parity"): "493c4e90fce498fdf437a782bb108abee82df702e599e54654b7bf791d904c61",
     ("4x2000", "equalized_odds"): "5f4e733af351afdc3948b1c6ae7e58115607cb2e879eb957f5dc752d435a7e97",
     ("8x1000", "demographic_parity"): "d7b976c044d70a9898266ea72f966f5f05ef0a69a5e52cd057a902b7356ebec3",
     ("8x1000", "equalized_odds"): "d79adc029fe42443775ffb58eac9e4222ae4aa0449ada49ab8f66d589c684c98",
+    # a prune pass drops members at most points of these cuae sweeps, so
+    # they pin the scan of the whole member set; each skips epsilon 0
+    ("2x1200", "conditional_use_accuracy_equality"):
+        "9352d9818fb6832373994bbb8a98771f963d5b507e2ddf1bfde2f5ea8566620d",
+    ("4x2000", "conditional_use_accuracy_equality"):
+        "64541fbcd616d555796be5e1864413ff635e134614d2d4b0e1eb7eb7678daefe",
 }
 
 
@@ -207,8 +214,20 @@ def test_frontier_points_are_pinned(name, measure):
         FRONTIER_PINS[name, measure.value]
 
 
-@SWEEPS
-@pytest.mark.parametrize("name", ["2x1200", "8x1000"])
+@pytest.mark.parametrize("name, least", [("2x1200", "7.32467e-05"), ("4x2000", "0.000744118")],
+                         ids=["2x1200", "4x2000"])
+def test_cuae_frontier_points_are_pinned(name, least):
+    points = frontier(name, CUAE).points
+    assert digest(tuple((p.policy.thresholds, p.accuracy) for p in points)) == \
+        FRONTIER_PINS[name, CUAE.value]
+    assert frontier(name, CUAE).skipped == (
+        "epsilon=0: no candidate policy reaches disparity <= 0.0; "
+        f"minimum achievable disparity is {least}",)
+
+
+@pytest.mark.parametrize("name, measure", [
+    ("2x1200", DP), ("2x1200", EODDS), ("2x1200", CUAE), ("8x1000", DP), ("8x1000", EODDS),
+], ids=lambda v: getattr(v, "value", v))
 def test_frontier_equals_fresh_enforces(name, measure):
     scored = scored_set(name)
     assert frontier(name, measure) == oracle.equality_frontier(scored, measure, 50)

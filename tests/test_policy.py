@@ -1,6 +1,8 @@
 import functools
 import json
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -564,6 +566,37 @@ class TestWindowLayouts:
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
 
+    def test_zero_correct_copy_gets_what_members_build(self, monkeypatch):
+        # the one-statistic _min_disparity hands its zero-correct copy a
+        # sparse table and run keys instead of building them
+        seen = []
+        inner = policy_module._window_search
+
+        def recorded(members, eps):
+            seen.append(members)
+            return inner(members, eps)
+
+        monkeypatch.setattr(policy_module, "_window_search", recorded)
+        rng = np.random.default_rng(43)
+        for n in range(1, 130):  # every power of two up to 128
+            K = 1 if n % 10 == 0 else int(rng.integers(2, 30))
+            G = min(int(rng.integers(1, 6)), n)
+            sizes = np.ones(G, dtype=np.int64)  # group 0 has a single member
+            if G > 1:
+                sizes[1:] += rng.multinomial(n - G, [1 / (G - 1)] * (G - 1))
+            else:
+                sizes[0] = n
+            two = self.random_members(rng, sizes, K)
+            members = replace(two, stats=two.stats[:1], rank=two.rank[:1], values=two.values[:1])
+            policy_module._min_disparity(members)
+            zero = seen.pop()
+            fresh = replace(zero)  # nothing cached
+            assert not fresh.correct.any()
+            assert zero.sparse.dtype == fresh.sparse.dtype
+            np.testing.assert_array_equal(zero.sparse, fresh.sparse)
+            for a, b in zip(zero.run_keys, fresh.run_keys):
+                np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("measure", [ODDS, CUAE], ids=lambda m: m.value)
     def test_warm_prune_equals_cold_prune(self, measure):
         rng = np.random.default_rng(31)
@@ -578,12 +611,13 @@ class TestWindowLayouts:
                 ends = [[policy_module._ends(v, eps) for v in members.values] for eps in (small, large)]
                 cold = policy_module._prune(members, ends[0])
                 start = policy_module._prune(members, ends[1])
-                warm = None if start is None else policy_module._prune(start[0], ends[0])
+                warm = None if start is None else policy_module._prune(start, ends[0])
                 assert (cold is None) == (warm is None)
                 if cold is not None:
                     compared += 1
-                    warm_from_fewer += len(start[0].idx) < len(members.idx)
-                    for a, b in zip([*cold[1:], cold[0].idx, cold[0].group], [*warm[1:], warm[0].idx, warm[0].group]):
+                    warm_from_fewer += len(start.idx) < len(members.idx)
+                    for a, b in zip([*policy_module._windows(cold, 0, ends[0][0]), cold.idx, cold.group],
+                                    [*policy_module._windows(warm, 0, ends[0][0]), warm.idx, warm.group]):
                         np.testing.assert_array_equal(a, b)
         assert compared >= 50
         assert warm_from_fewer >= 20
@@ -612,6 +646,88 @@ class TestWindowLayouts:
             # one member set; the minimum disparity's zero-correct copy
             # shares its layouts
             assert len(built["layouts"]) == 1
+
+
+class TestScanWithoutPrune:
+    """The two-statistic window search scans the whole member set.  _prune
+    only drops members no feasible combination uses, so the scan over its
+    survivors gives the same answer, and only _min_disparity's bisection
+    runs it."""
+
+    @staticmethod
+    def rounded_scored(seed):
+        """2 to 4 groups of 20 to 120 rows, scores rounded to 2 decimals."""
+        rng = np.random.default_rng(seed)
+        G = 2 + seed % 3
+        sizes = rng.integers(20, 120, G)
+        scores = np.round(rng.random(sizes.sum()), 2)
+        labels = (rng.random(sizes.sum()) < scores).astype(np.int64)
+        return scored_from_arrays(scores, labels, np.repeat(np.arange(G), sizes),
+                                  tuple(f"g{g}" for g in range(G)))
+
+    @pytest.mark.parametrize("measure", [ODDS, CUAE], ids=lambda m: m.value)
+    def test_scan_of_all_members_equals_scan_of_survivors(self, measure):
+        rng = np.random.default_rng(57)
+        compared = dropped = infeasible = 0
+        for i in range(60):
+            G = 2 + i % 4
+            if i % 3:
+                scored = random_small_scored(rng, n_groups=G, max_distinct=int(rng.integers(3, 16)))
+            else:
+                scored = self.rounded_scored(int(rng.integers(1000)))
+            members = policy_module._members(policy_module._Problem(scored), tracked_statistics(measure))
+            if members is None:
+                continue
+            least = policy_module._min_disparity(members)
+            below = [float(np.nextafter(least, -np.inf))] if least > 0 else []
+            for eps in (0.0, least, float(np.nextafter(least, np.inf)), *below,
+                        float(rng.uniform(0.0, 0.5))):
+                ends = [policy_module._ends(v, eps) for v in members.values]
+                survivors = policy_module._prune(members, ends)
+                got = policy_module._box_scan(members, ends)
+                compared += 1
+                infeasible += eps < least
+                assert (got[0] >= 0) == (eps >= least)
+                if survivors is None:
+                    assert got == (-1, math.inf, None)
+                    continue
+                dropped += len(survivors.idx) < len(members.idx)
+                assert got == policy_module._box_scan(survivors, ends)
+        assert compared >= 200
+        assert dropped >= 60
+        # selecting every row gives each group tpr 1 and tnr 0, so eodds
+        # is feasible at every eps >= 0
+        assert infeasible >= (20 if measure is CUAE else 0)
+
+    @pytest.mark.parametrize("seed, measure, skips", [
+        (0, ODDS, False), (0, CUAE, False), (1, CUAE, True)], ids=["eodds", "cuae", "cuae-skips"])
+    def test_frontier_prunes_only_for_the_minimum_disparity(self, monkeypatch, seed, measure, skips):
+        scored = self.rounded_scored(seed)
+        want = oracle.equality_frontier(scored, measure, 50)
+        calls, inside = [], [0]
+        prune, least = policy_module._prune, policy_module._min_disparity
+
+        def counted_prune(members, ends):
+            calls.append(inside[0])
+            return prune(members, ends)
+
+        def counted_least(members):
+            inside[0] += 1
+            try:
+                return least(members)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(policy_module, "_prune", counted_prune)
+        monkeypatch.setattr(policy_module, "_min_disparity", counted_least)
+        got = equality_frontier(scored, measure, 50)
+        assert got == want
+        assert bool(got.skipped) == skips
+        if skips:
+            # the bisection's steps, and no other
+            assert calls and all(calls)
+        else:
+            assert calls == []
 
 
 def smallest_spread(value_lists):
@@ -788,6 +904,22 @@ class TestOneTally:
         assert main(["enforce", "--scores", str(path), "--constraint", "dp",
                      "--epsilon", "0.02", "--out", str(tmp_path / "out")]) == 0
         assert calls == [2]
+
+    def test_cli_audit_tallies_once(self, gap_scored, tmp_path, monkeypatch):
+        # the audited policy and its baseline together, whether the
+        # baseline is the Unconstrained fit or a policy file
+        path = tmp_path / "scores.csv"
+        write_scores_csv(gap_scored, path)
+        files = {}
+        for name, constraint in (("audited", Equality(DP, 0.02)), ("baseline", MinimumRate("tpr", 0.7))):
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(policy_to_json_dict(enforce(gap_scored, constraint).policy)))
+        calls = count_tallies(monkeypatch)
+        for extra in ([], ["--baseline-policy", str(files["baseline"])]):
+            calls.clear()
+            assert main(["audit", "--scores", str(path), "--policy", str(files["audited"]),
+                         "--out", str(tmp_path / f"out{len(extra)}"), *extra]) == 0
+            assert calls == [2]
 
 
 class TestLevellingUp:
