@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,14 +175,6 @@ class LabeledDataset:
         )
 
 
-def _is_float(text: str) -> bool:
-    try:
-        v = float(text)
-    except ValueError:
-        return False
-    return math.isfinite(v)
-
-
 def load_csv(path: str | Path, schema: CsvSchema) -> LabeledDataset:
     """Load an RFC-4180 CSV with a header row into a LabeledDataset.
 
@@ -224,20 +215,19 @@ def load_csv(path: str | Path, schema: CsvSchema) -> LabeledDataset:
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
 
-    # Column typing: numeric iff every cell parses as a finite float.
-    numeric: dict[str, bool] = {}
-    for name in schema.feature_columns:
-        i = col_index[name]
-        numeric[name] = all(_is_float(r[i].strip()) for r in rows)
-
     feature_names: list[str] = []
     columns: list[np.ndarray] = []
     for name in schema.feature_columns:
         i = col_index[name]
         cells = [r[i].strip() for r in rows]
-        if numeric[name]:
+        # numeric iff every cell parses as a finite float
+        try:
+            values = np.array([float(c) for c in cells], dtype=np.float64)
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
             feature_names.append(name)
-            columns.append(np.array([float(c) for c in cells], dtype=np.float64))
+            columns.append(values)
         else:
             levels: list[str] = []
             seen: set[str] = set()

@@ -16,12 +16,13 @@ higher minimum group value of that statistic (the first one, for a
 measure tracking two), then the lexicographically smallest threshold
 vector.  Unconstrained has no relevant statistic, so its ties go
 straight to the lexicographic rule.  The search is exact for every
-constraint at any group count: Equality, its minimum disparity over one
-statistic and the tie-break among separable finalists all use one
-anchored-window search, which answers each stage of the tie-break as an
-exact question on its windows and never lists the tied combinations
-(see the window search section below).  Provenance.approximate stays in
-the file format for old policy files and is always false.
+constraint at any group count: Equality and the tie-break among
+separable finalists use one anchored-window search, which answers each
+stage of the tie-break as an exact question on its windows and never
+lists the tied combinations, and the minimum disparity over one
+statistic is read off the same windows (see the window search section
+below).  Provenance.approximate stays in the file format for old policy
+files and is always false.
 
 Problem.  Each enforce, level-up, frontier and CLI enforce works on one
 _Problem: the scored dataset, its candidate tables, the unconstrained
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -558,13 +559,9 @@ def _chunk_search(members, outer, L, R, ends, floor):
     outer holds the chunk's first-statistic anchor values, L and R each
     group's windows at them, and ends each second-statistic rank's end
     rank.  The chunk lays the windows end to end, one segment per anchor,
-    in order of the int64 keys ((group * S + segment) * K + rank) * n +
-    position, over S segments, K second-statistic values and the n members
-    of the whole set.  They need groups * S * K * n < 2**63: each segment
-    holds a member of every group, so groups * S is at most _CHUNK_MEMBERS,
-    or groups when one anchor overflows it, and K <= n since the values
-    are the set's own.  So max(_CHUNK_MEMBERS, groups) * n * n < 2**63
-    suffices: under 2**25 members in at most _CHUNK_MEMBERS groups.
+    in order of the keys (group * S + segment) * K + rank, over S segments
+    and K second-statistic values; a stable sort keeps each key's members
+    in ascending position, the order _ranges lists them in.
     The inner anchors are the distinct (segment, rank) pairs, and the
     windows are binary searches over the keys: a prefix count per (group,
     segment, rank) cell, even over the chunk's own distinct ranks, has up
@@ -573,13 +570,13 @@ def _chunk_search(members, outer, L, R, ends, floor):
     (d, -anchor, pick) among the anchors reaching it); None otherwise.
     """
     G, S = L.shape
-    n, K = len(members.idx), len(members.values[1])
+    K = len(members.values[1])
     count = (R - L).ravel()
     pos = _ranges(L.ravel(), count)[0]
-    key = (np.repeat(np.arange(G * S), count) * K + members.rank[1, pos]) * n + pos
-    key.sort()
-    block, pos = np.divmod(key, n)
-    chunk = members.subset(pos)
+    block = np.repeat(np.arange(G * S), count) * K + members.rank[1, pos]
+    order = np.argsort(block, kind="stable")
+    block = block[order]
+    chunk = members.subset(pos[order])
     chunk.stats[0] -= outer[block // K % S]
     # np.unique hashes int64 keys, several times slower than this sort
     inner = np.sort(block % (S * K))
@@ -634,28 +631,29 @@ def _prune(members, ends):
 def _min_disparity(members) -> float:
     """The smallest disparity any combination reaches.
 
-    With one statistic, the window search's d without a disparity bound
-    when every member counts zero correct, so every combination ties.
-    The zero-correct copy is given what _Members would build for it: the
-    members' layouts, which read only groups and ranks, a sparse table of
-    zeros (-1 past the end) and the run keys 0 * n + position.
+    With one statistic, read off the layout: at each anchor, a group's
+    least offset is its first member at or above the anchor, at L since
+    positions ascend the statistic, minus the anchor, the subtraction the
+    window search's tie stage does.  The minimum is the smallest, over
+    anchors where every group has such a member, of the largest least
+    offset.
 
     With two, the least float eps at which the window search finds a
     feasible combination.  Feasible sets are nested, so _prune at a
     smaller eps, started from the members it kept at a larger one, reaches
     the fixed point it reaches from all of them: each step of the
     bisection starts from the last feasible step's survivors, and a step
-    whose _prune returns None is infeasible without a scan.
+    whose _prune returns None is infeasible without a scan.  A feasible
+    step's scan returns the disparity d <= eps of a combination it found,
+    so d is feasible too and the next step bisects below it.
     """
     if len(members.stats) == 1:
-        n = len(members.correct)
-        zero = replace(members, correct=np.zeros_like(members.correct))
-        zero.layouts = members.layouts
-        zero.run_keys = np.arange(n), np.arange(n)
-        zero.sparse = np.zeros((max(n.bit_length(), 1), n), dtype=np.int64)
-        for k in range(1, len(zero.sparse)):
-            zero.sparse[k, n - (1 << k) + 1:] = -1
-        return _window_search(zero, math.inf)[1]
+        anchors, _, base, below, L = members.layouts[0]
+        # every group has a member at or above each anchor up to the least
+        # of the groups' largest values, so those anchors are a prefix
+        live = np.count_nonzero((L < below[base + len(members.values[0])]).all(axis=0))
+        least = members.stats[0][L[:, :live]] - members.values[0][anchors[:live]]
+        return float(least.max(axis=0).min())
     # Statistics lie in [0, 1] and non-negative floats order like their
     # bit patterns, so bisect on the bits.
     lo, hi = 0, int(np.float64(1.0).view(np.int64))
@@ -663,8 +661,9 @@ def _min_disparity(members) -> float:
         mid = (lo + hi) // 2
         ends = [_ends(v, float(np.int64(mid).view(np.float64))) for v in members.values]
         survivors = _prune(members, ends)
-        if survivors is not None and _box_scan(survivors, ends)[0] >= 0:
-            hi, members = mid, survivors
+        top, d, _ = (-1, math.inf, None) if survivors is None else _box_scan(survivors, ends)
+        if top >= 0:
+            hi, members = int(np.float64(d).view(np.int64)), survivors
         else:
             lo = mid + 1
     return float(np.int64(lo).view(np.float64))
@@ -769,13 +768,14 @@ def _choose(problem, constraint):
         stat = constraint.statistic
         stats = [problem.stat(g, stat) for g in range(len(problem.tables))]
         if isinstance(constraint, MinimumRate):
-            feas = []
-            for vals, pick in zip(stats, problem.uncon):
-                floor = vals[pick]
-                need = constraint.tau if np.isnan(floor) else max(constraint.tau, float(floor))
-                feas.append(vals >= need)
+            word, bound, extreme = "minimum", constraint.tau, np.nanmax
+            params = {"statistic": stat, "tau": bound}
+            feas = [vals >= (bound if np.isnan(vals[pick]) else max(bound, float(vals[pick])))
+                    for vals, pick in zip(stats, problem.uncon)]
         else:
-            feas = [vals <= constraint.kappa for vals in stats]
+            word, bound, extreme = "maximum", constraint.kappa, np.nanmin
+            params = {"statistic": stat, "kappa": bound}
+            feas = [vals <= bound for vals in stats]
         picks, blocked = _separable_search(problem, feas, stat)
         if picks is None:
             name = problem.scored.group_names[blocked]
@@ -786,19 +786,12 @@ def _choose(problem, constraint):
                     f"group {name!r}",
                     blocking_group=name,
                 )
-            bound = constraint.tau if isinstance(constraint, MinimumRate) else constraint.kappa
-            word = "minimum" if isinstance(constraint, MinimumRate) else "maximum"
-            extreme = float(np.nanmax(vals)) if isinstance(constraint, MinimumRate) else float(np.nanmin(vals))
             raise InfeasibleConstraintError(
                 f"{word} {stat} {bound} is unreachable for group {name!r}; "
-                f"best achievable is {extreme:.6g}",
+                f"best achievable is {float(extreme(vals)):.6g}",
                 blocking_group=name,
             )
-        if isinstance(constraint, MinimumRate):
-            kind, params = "minimum_rate", {"statistic": stat, "tau": constraint.tau}
-        else:
-            kind, params = "maximum_rate", {"statistic": stat, "kappa": constraint.kappa}
-        return picks, kind, params, "exact-grid", ""
+        return picks, f"{word}_rate", params, "exact-grid", ""
 
     if isinstance(constraint, Equality):
         return _EqualitySearch(problem, constraint).choose(constraint.epsilon)

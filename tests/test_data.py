@@ -92,6 +92,20 @@ class TestLoadCsv:
         assert ds.group_names == ("f", "m")
         assert ds.labels.tolist() == [1, 0, 1]
 
+    def test_non_finite_cells_keep_a_column_one_hot(self, tmp_path):
+        path = self.write(tmp_path,
+                          "x,a,b,c,grp,y\n"
+                          "0.1,1,2,3,f,1\n"
+                          "1e-300,nan,inf,1e999,m,0\n"
+                          "-7.5e3,4,5,6,f,1\n")
+        schema = CsvSchema(label_column="y", positive_label_value="1",
+                           group_column="grp", feature_columns=("x", "a", "b", "c"))
+        ds = load_csv(path, schema)
+        assert ds.feature_names == ("x", "a=1", "a=nan", "a=4", "b=2", "b=inf", "b=5",
+                                    "c=3", "c=1e999", "c=6")
+        assert ds.features[:, 0].tolist() == [0.1, 1e-300, -7500.0]
+        assert ds.features[:, 1:4].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
     def test_positive_label_value_controls_mapping(self, tmp_path):
         path = self.write(tmp_path,
                           "x,grp,y\n1,a,yes\n2,b,no\n")

@@ -4,7 +4,9 @@ A private (leading underscore, not dunder) def, class or assignment at
 the top of a src/levelup module must be named on some other line of
 src/levelup; otherwise nothing in the package can reach it.  Likewise
 every field, method and self attribute of a private class must be read
-as .name on a line of src/levelup other than those defining it.
+as .name on a line of src/levelup other than those defining it.  And
+every module-level import of a src/levelup module other than __init__,
+whose imports are the package's re-exports, must be read in its module.
 """
 
 import ast
@@ -58,6 +60,19 @@ def private_class_members(tree):
                         yield target.id, item.lineno
 
 
+def unused_imports(tree):
+    """(name, line) of each name a module-level import binds that no name
+    in the module reads; __future__ imports excepted."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    yield name, node.lineno
+
+
 def unused(pattern, definitions, lines):
     """The definitions (path, name, line) that no line of any source
     matches pattern(name) on, except the lines defining that name."""
@@ -97,6 +112,13 @@ def test_no_dead_private_class_members():
     assert unused(lambda name: rf"\.{re.escape(name)}\b", definitions, lines) == []
 
 
+def test_no_unused_imports():
+    _, trees = sources()
+    unread = [f"{path.name}:{lineno} {name}" for path, tree in trees.items()
+              if path.name != "__init__.py" for name, lineno in unused_imports(tree)]
+    assert unread == []
+
+
 def test_finds_an_unused_private_function():
     tree = ast.parse("def _unused():\n    pass\n\n_TABLE = {}\n__all__ = []\n")
     assert list(private_definitions(tree)) == [("_unused", 1), ("_TABLE", 4)]
@@ -111,3 +133,12 @@ def test_finds_the_fields_and_methods_of_a_private_class():
     lines = {Path("a.py"): ["class _Table:", "    n: int", "x.total()", "x.k"]}
     definitions = [(Path("a.py"), "n", 2), (Path("a.py"), "total", 6), (Path("a.py"), "k", 5)]
     assert unused(lambda name: rf"\.{re.escape(name)}\b", definitions, lines) == ["a.py:2 n"]
+
+
+def test_finds_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import math\nimport os.path\nimport numpy as np\n"
+                     "from dataclasses import dataclass, replace\n\n"
+                     "@dataclass\nclass A:\n    x: np.ndarray\n\n"
+                     "def f():\n    import json\n    return os.path.sep\n")
+    assert list(unused_imports(tree)) == [("math", 2), ("replace", 5)]

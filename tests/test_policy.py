@@ -33,6 +33,7 @@ from levelup import (
     write_scores_csv,
 )
 from conftest import random_small_scored
+from test_invariants import arrays as synth_arrays
 from levelup import metrics as metrics_module
 from levelup import policy as policy_module
 from levelup.cli import main
@@ -484,10 +485,11 @@ class TestChunkBoundaries:
 
 
 class TestSearchAnswers:
-    """The equality search reads its answers off one window search: the
-    minimum disparity is that search's d when every combination ties,
-    and a pick's d is the disparity the pick reaches.  Both equal the
-    brute-force figures exactly, at every group count from 2 to 5."""
+    """The equality search reads its answers off the window search: with
+    one statistic the minimum disparity comes from the member set's
+    layout, with two from a bisection that keeps each feasible scan's d,
+    and a pick's d is the disparity the pick reaches.  Each equals the
+    brute-force figure exactly, at every group count from 2 to 5."""
 
     @staticmethod
     def cases(measure):
@@ -519,6 +521,31 @@ class TestSearchAnswers:
                 assert top >= 0
                 result = enforce(scored, Equality(measure, eps))
                 assert d == disparity(result.metrics, measure)
+
+    @pytest.mark.parametrize("n_groups, rows", [(2, 1200), (4, 2000)], ids=["2x1200", "4x2000"])
+    def test_bisection_scans_few_steps(self, monkeypatch, n_groups, rows):
+        # each feasible step sets the bisection's upper end to the scan's d,
+        # a disparity some combination reaches, not to the step's eps
+        scored = scored_from_arrays(*synth_arrays(n_groups, rows, 3))
+        scans, inside = [0], [0]
+        box_scan, least = policy_module._box_scan, policy_module._min_disparity
+
+        def counted_scan(members, ends):
+            scans[0] += inside[0]
+            return box_scan(members, ends)
+
+        def counted_least(members):
+            inside[0] += 1
+            try:
+                return least(members)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(policy_module, "_box_scan", counted_scan)
+        monkeypatch.setattr(policy_module, "_min_disparity", counted_least)
+        with pytest.raises(InfeasibleConstraintError, match="minimum achievable disparity is"):
+            enforce(scored, Equality(CUAE, 0.0))
+        assert 1 <= scans[0] <= 8
 
 
 class TestWindowLayouts:
@@ -566,17 +593,10 @@ class TestWindowLayouts:
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
 
-    def test_zero_correct_copy_gets_what_members_build(self, monkeypatch):
-        # the one-statistic _min_disparity hands its zero-correct copy a
-        # sparse table and run keys instead of building them
-        seen = []
-        inner = policy_module._window_search
-
-        def recorded(members, eps):
-            seen.append(members)
-            return inner(members, eps)
-
-        monkeypatch.setattr(policy_module, "_window_search", recorded)
+    def test_min_disparity_equals_the_zero_correct_search(self):
+        # with one statistic, _min_disparity reads the layout; the window
+        # search without a disparity bound on a copy whose members all count
+        # zero correct, so every combination ties, must find the same d
         rng = np.random.default_rng(43)
         for n in range(1, 130):  # every power of two up to 128
             K = 1 if n % 10 == 0 else int(rng.integers(2, 30))
@@ -588,14 +608,8 @@ class TestWindowLayouts:
                 sizes[0] = n
             two = self.random_members(rng, sizes, K)
             members = replace(two, stats=two.stats[:1], rank=two.rank[:1], values=two.values[:1])
-            policy_module._min_disparity(members)
-            zero = seen.pop()
-            fresh = replace(zero)  # nothing cached
-            assert not fresh.correct.any()
-            assert zero.sparse.dtype == fresh.sparse.dtype
-            np.testing.assert_array_equal(zero.sparse, fresh.sparse)
-            for a, b in zip(zero.run_keys, fresh.run_keys):
-                np.testing.assert_array_equal(a, b)
+            zero = replace(members, correct=np.zeros_like(members.correct))  # nothing cached
+            assert policy_module._min_disparity(members) == policy_module._window_search(zero, math.inf)[1]
 
     @pytest.mark.parametrize("measure", [ODDS, CUAE], ids=lambda m: m.value)
     def test_warm_prune_equals_cold_prune(self, measure):
@@ -643,8 +657,7 @@ class TestWindowLayouts:
         for sets in built.values():
             assert len({id(m) for m in sets}) == len(sets)
         if len(tracked_statistics(measure)) == 1:
-            # one member set; the minimum disparity's zero-correct copy
-            # shares its layouts
+            # one member set; the minimum disparity reads its layouts
             assert len(built["layouts"]) == 1
 
 
