@@ -150,7 +150,7 @@ class LabeledDataset:
             raise DataError("fewer than 2 groups named")
         if groups.min() < 0 or groups.max() >= len(self.group_names):
             raise DataError("group id out of range")
-        if len(np.unique(groups)) < 2:
+        if groups.min() == groups.max():
             raise DataError("fewer than 2 distinct groups present")
 
     @property

@@ -27,7 +27,6 @@ from .policy import (
     Equality,
     EnforcementResult,
     InfeasibleConstraintError,
-    MinimumRate,
     ThresholdPolicy,
     Unconstrained,
     _EqualitySearch,
@@ -36,6 +35,7 @@ from .policy import (
     _choose,
     _finish,
     _metrics,
+    _min_rate_sweep,
     policy_from_json_dict,
     policy_to_json_dict,
 )
@@ -233,8 +233,11 @@ def mrc_frontier(
 
     The objective recorded per point is the achieved minimum group value
     of the statistic.  Sweep values with no feasible policy are skipped
-    and noted, not silently dropped.  One pass over the rows tallies
-    every point with the unconstrained one.
+    and noted, not silently dropped.  Every point is picked from one
+    pass over each group's candidates, and the points and the skipped
+    messages, in ascending tau, equal those of a fresh
+    enforce(MinimumRate(statistic, tau)) at each tau.  One pass over the
+    rows tallies every point with the unconstrained one.
     """
     _check_resolution(resolution)
     problem = _Problem(scored)
@@ -244,12 +247,7 @@ def mrc_frontier(
             f"{statistic} is undefined for some group under the "
             "unconstrained policy; no frontier exists"
         )
-    specs, skipped = [], []
-    for tau in np.linspace(lo, 1.0, resolution):
-        try:
-            specs.append(_choose(problem, MinimumRate(statistic, float(tau))))
-        except InfeasibleConstraintError as exc:
-            skipped.append((float(tau), exc))
+    specs, skipped = _min_rate_sweep(problem, statistic, np.linspace(lo, 1.0, resolution))
     return _frontier(problem, statistic, specs, skipped)
 
 

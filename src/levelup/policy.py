@@ -412,9 +412,19 @@ def _members(problem, stat_names, subsets=None) -> _Members | None:
     group, idx, stats, correct = group[keep], idx[keep], np.stack(stats)[:, keep], correct[keep]
     if not np.bincount(group, minlength=len(parts)).all():
         return None
-    values = [np.unique(v) for v in stats]
+    values = [_distinct(v) for v in stats]
     rank = np.stack([np.searchsorted(u, v) for u, v in zip(values, stats)])
     return _Members(len(parts), group, idx, stats, rank, values, correct)
+
+
+def _distinct(v):
+    """The distinct values of v, ascending: np.unique's result, by one
+    sort.  np.unique hashes int64 keys, several times slower, and its first
+    call imports numpy.ma, which costs a CLI process more than its search."""
+    v = np.sort(v)
+    first = np.ones(len(v), dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    return v[first]
 
 
 def _ends(values, eps):
@@ -578,9 +588,7 @@ def _chunk_search(members, outer, L, R, ends, floor):
     block = block[order]
     chunk = members.subset(pos[order])
     chunk.stats[0] -= outer[block // K % S]
-    # np.unique hashes int64 keys, several times slower than this sort
-    inner = np.sort(block % (S * K))
-    inner = inner[np.concatenate(([True], inner[1:] != inner[:-1]))]
+    inner = _distinct(block % (S * K))
     seg, rank = np.divmod(inner, K)
     base = np.arange(G)[:, None] * (S * K)
     L = np.searchsorted(block, base + inner)
@@ -673,11 +681,11 @@ def _min_disparity(members) -> float:
 # separable constraints: per-group feasible sets
 
 def _separable_search(problem, per_group_feasible, stat):
-    """Exact search when both objective and constraint split across groups.
+    """Exact search when both objective and constraint split across groups:
+    (picks, None), or (None, the first group with no feasible candidate).
 
-    Each group keeps its accuracy-tied finalists, and every combination of
-    them is feasible, so the window search without a disparity bound ranks
-    them by the tie-break.
+    Each group keeps its accuracy-tied finalists, and _tie_break ranks
+    every combination of them.
     """
     finalist_sets = []
     for g, feas in enumerate(per_group_feasible):
@@ -685,11 +693,114 @@ def _separable_search(problem, per_group_feasible, stat):
             return None, g
         c = np.where(feas, problem.correct(g), -1)
         finalist_sets.append(np.flatnonzero(c == c.max()))
+    return _tie_break(problem, finalist_sets, stat), None
+
+
+def _tie_break(problem, finalist_sets, stat):
+    """The pick among every combination of the groups' finalists, all of
+    them feasible: the window search without a disparity bound ranks them
+    by the tie-break."""
     # One finalist per group is the pick.  The window search returns the
     # same, but its fixed cost per call shows in the min-rate frontier.
     if all(len(s) == 1 for s in finalist_sets):
-        return tuple(int(s[0]) for s in finalist_sets), None
-    return _window_search(_members(problem, (stat,), finalist_sets), math.inf)[2], None
+        return tuple(int(s[0]) for s in finalist_sets)
+    return _window_search(_members(problem, (stat,), finalist_sets), math.inf)[2]
+
+
+def _rate_spec(constraint, picks):
+    """The spec of a MinimumRate or MaximumRate constraint's picks."""
+    if isinstance(constraint, MinimumRate):
+        word, params = "minimum", {"statistic": constraint.statistic, "tau": constraint.tau}
+    else:
+        word, params = "maximum", {"statistic": constraint.statistic, "kappa": constraint.kappa}
+    return picks, f"{word}_rate", params, "exact-grid", ""
+
+
+def _unreachable(problem, constraint, g) -> InfeasibleConstraintError:
+    """The error of a MinimumRate or MaximumRate constraint that group g
+    meets at no candidate."""
+    stat = constraint.statistic
+    name = problem.scored.group_names[g]
+    vals = problem.stat(g, stat)
+    if np.all(np.isnan(vals)):
+        return InfeasibleConstraintError(
+            f"{stat} is undefined for every candidate threshold of group {name!r}",
+            blocking_group=name,
+        )
+    if isinstance(constraint, MinimumRate):
+        word, bound, best = "minimum", constraint.tau, np.nanmax(vals)
+    else:
+        word, bound, best = "maximum", constraint.kappa, np.nanmin(vals)
+    return InfeasibleConstraintError(
+        f"{word} {stat} {bound} is unreachable for group {name!r}; "
+        f"best achievable is {float(best):.6g}",
+        blocking_group=name,
+    )
+
+
+def _min_rate_floor(problem, g, stat, tau):
+    """Group g's feasible floor under MinimumRate(stat, tau): tau, raised to
+    the group's unconstrained value where that is defined; tau may be an
+    array."""
+    value = problem.stat(g, stat)[problem.uncon[g]]
+    return tau if np.isnan(value) else np.maximum(tau, value)
+
+
+def _min_rate_sweep(problem, stat, taus):
+    """What _choose returns or raises for MinimumRate(stat, tau) at every
+    tau in taus: the specs of the feasible ones and the (tau, error) pairs
+    of the rest, from one _min_rate_pass over each group's candidates."""
+    constraints = [MinimumRate(stat, float(tau)) for tau in taus]
+    taus = np.array([c.tau for c in constraints])
+    passes = [_min_rate_pass(problem, g, stat, taus) for g in range(len(problem.tables))]
+    first = np.stack([p[0] for p in passes])
+    specs, skipped = [], []
+    for t, constraint in enumerate(constraints):
+        blocked = np.flatnonzero(first[:, t] < 0)
+        if len(blocked):
+            skipped.append((constraint.tau, _unreachable(problem, constraint, int(blocked[0]))))
+            continue
+        sets = [ties.get(t, first[g, t:t + 1]) for g, (_, ties) in enumerate(passes)]
+        specs.append(_rate_spec(constraint, _tie_break(problem, sets, stat)))
+    return specs, skipped
+
+
+def _min_rate_pass(problem, g, stat, taus):
+    """Group g's finalists under MinimumRate(stat, tau) at every tau in
+    taus: (the first finalist's index at each tau, -1 where no candidate is
+    feasible; {tau's position: its finalists} where there are several).
+
+    The candidates with the statistic defined, in descending order of it,
+    meet a floor in a prefix, of length k by one binary search.  Over that
+    order, the running maximum best of the correct count and the count
+    reach of the positions holding their running maximum answer every
+    floor: the prefix's best count is best[k - 1], its first finalist is
+    where best first reaches that, and it holds more than one finalist when
+    reach grows past that position.
+    """
+    # sort and searchsorted place NaN last, so no prefix holds one; the
+    # stable sort runs faster than the default on these nearly ordered
+    # values, with or without NaN.  Each candidate-length array is freed
+    # once used, so the sweep's peak memory stays that of the per-tau scan.
+    key = -problem.stat(g, stat)
+    order = np.argsort(key, kind="stable")
+    k = np.searchsorted(key[order], -_min_rate_floor(problem, g, stat, taus), "right")
+    del key
+    correct = problem.correct(g)[order]
+    best = np.maximum.accumulate(correct)
+    top = best[k - 1]
+    at = np.searchsorted(best, top)
+    reach = correct  # overwritten in place
+    np.equal(correct, best, out=reach)
+    np.cumsum(reach, out=reach)
+    del best
+    feasible = k > 0
+    first = np.where(feasible, order[at], -1)
+    ties = {}
+    for t in np.flatnonzero(feasible & (reach[k - 1] > reach[at])):
+        finalists = order[at[t]:k[t]]
+        ties[t] = np.sort(finalists[problem.correct(g)[finalists] == top[t]])
+    return first, ties
 
 
 # ---------------------------------------------------------------------------
@@ -768,30 +879,14 @@ def _choose(problem, constraint):
         stat = constraint.statistic
         stats = [problem.stat(g, stat) for g in range(len(problem.tables))]
         if isinstance(constraint, MinimumRate):
-            word, bound, extreme = "minimum", constraint.tau, np.nanmax
-            params = {"statistic": stat, "tau": bound}
-            feas = [vals >= (bound if np.isnan(vals[pick]) else max(bound, float(vals[pick])))
-                    for vals, pick in zip(stats, problem.uncon)]
+            feas = [vals >= _min_rate_floor(problem, g, stat, constraint.tau)
+                    for g, vals in enumerate(stats)]
         else:
-            word, bound, extreme = "maximum", constraint.kappa, np.nanmin
-            params = {"statistic": stat, "kappa": bound}
-            feas = [vals <= bound for vals in stats]
+            feas = [vals <= constraint.kappa for vals in stats]
         picks, blocked = _separable_search(problem, feas, stat)
         if picks is None:
-            name = problem.scored.group_names[blocked]
-            vals = stats[blocked]
-            if np.all(np.isnan(vals)):
-                raise InfeasibleConstraintError(
-                    f"{stat} is undefined for every candidate threshold of "
-                    f"group {name!r}",
-                    blocking_group=name,
-                )
-            raise InfeasibleConstraintError(
-                f"{word} {stat} {bound} is unreachable for group {name!r}; "
-                f"best achievable is {float(extreme(vals)):.6g}",
-                blocking_group=name,
-            )
-        return picks, f"{word}_rate", params, "exact-grid", ""
+            raise _unreachable(problem, constraint, blocked)
+        return _rate_spec(constraint, picks)
 
     if isinstance(constraint, Equality):
         return _EqualitySearch(problem, constraint).choose(constraint.epsilon)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,3 +425,34 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma loads on numpy's first np.unique call and costs a CLI
+    # process several milliseconds; train and every pinned-output case
+    # run in one process, which reports the first command that loads it
+    import test_pinned_outputs as pinned
+
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    if bare.stdout.strip() != "False":
+        pytest.skip("import numpy alone loads numpy.ma")
+    (tmp_path / "scores.csv").write_text(pinned.score_csv(), encoding="utf-8")
+    commands = [["train", "--data", str(adult_sample_path()), "--label-col", "income",
+                 "--positive-label", ">50K", "--group-col", "sex", "--out", "train"]]
+    commands += [[*args, "--scores", "scores.csv", "--out", name]
+                 for name, (args, _) in pinned.CASES.items()]
+    script = (
+        "import json, sys\n"
+        "from levelup.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    if 'numpy.ma' in sys.modules:\n"
+        "        print(' '.join(argv))\n"
+        "        break\n"
+    )
+    src = str(Path(policy_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                         capture_output=True, text=True, cwd=tmp_path, env=env, check=True)
+    assert run.stdout == ""

@@ -9,6 +9,8 @@ from levelup import (
     FairnessMeasure,
     FrontierPoint,
     InfeasibleConstraintError,
+    MinimumRate,
+    Unconstrained,
     enforce,
     equality_frontier,
     frontier_from_jsonl,
@@ -25,6 +27,7 @@ from levelup import policy as policy_module
 DP = FairnessMeasure.DEMOGRAPHIC_PARITY
 CUAE = FairnessMeasure.CONDITIONAL_USE_ACCURACY_EQUALITY
 ENFORCEABLE = [m for m in FairnessMeasure if harm_profile(m).enforceable]
+MIN_RATE_STATISTICS = policy_module.MIN_RATE_STATISTICS
 
 
 def cloud(rng, n):
@@ -298,11 +301,115 @@ class TestMrcFrontier:
 
     def test_never_below_the_unconstrained_minimum(self, frontier,
                                                    gap_scored):
-        from levelup import Unconstrained, enforce
         base = enforce(gap_scored, Unconstrained())
         lo = min(base.metrics.values("selection_rate"))
         for p in frontier.points:
             assert p.objective_value >= lo - 1e-12
+
+    @staticmethod
+    def rounded_sets():
+        """Scores on a grid of 6 values, so accuracy-tied finalists are
+        common, at 2 to 8 groups of 5 to 40 rows; every third set's last
+        group has no positives, so its unconstrained pick rejects all,
+        where precision is undefined, and tpr is undefined everywhere.
+
+        First, a set where only the levelling-up floor binds: group a is
+        as accurate accepting all as rejecting all, so at tau 0 it stays
+        at its unconstrained acceptance only by the floor, while the
+        tie-break alone would move it to rejection, matching group b."""
+        yield scored_from_arrays(np.array([0.41, 0.41, 0.41, 0.05, 0.05, 0.05]),
+                                 np.array([0, 1, 0, 1, 0, 0]),
+                                 np.array([0, 0, 0, 0, 1, 1]), ("a", "b"))
+        rng = np.random.default_rng(20)
+        grid = np.linspace(0.05, 0.95, 6)
+        for n_groups in range(2, 9):
+            for k in range(3):
+                groups = np.repeat(np.arange(n_groups), rng.integers(5, 41, n_groups))
+                base = rng.uniform(0.2, 0.8, n_groups)[groups]
+                labels = (rng.random(len(groups)) < base).astype(np.int64)
+                if k == 2:
+                    labels[groups == n_groups - 1] = 0
+                scores = grid[(6 * (0.3 * labels + 0.7 * rng.random(len(groups)))).astype(int)]
+                yield scored_from_arrays(scores, labels, groups,
+                                         tuple(f"g{g}" for g in range(n_groups)))
+
+    @pytest.mark.parametrize("stat", MIN_RATE_STATISTICS)
+    def test_sweep_equals_fresh_enforces(self, stat):
+        frontiers, skips = 0, 0
+        for s in self.rounded_sets():
+            uncon = enforce(s, Unconstrained()).metrics.values(stat)
+            if None in uncon:
+                with pytest.raises(DataError, match="no frontier exists"):
+                    mrc_frontier(s, stat, 23)
+                continue
+            result = mrc_frontier(s, stat, 23)
+            frontiers += 1
+            fresh, skipped = {}, []
+            for tau in np.linspace(min(uncon), 1.0, 23):
+                tau = float(tau)
+                try:
+                    fresh[tau] = enforce(s, MinimumRate(stat, tau))
+                except InfeasibleConstraintError as exc:
+                    skipped.append(f"tau={tau:.6g}: {exc}")
+            assert result.skipped == tuple(skipped)
+            skips += len(skipped)
+            for p in result.points:
+                if p.constraint_value is None:
+                    continue
+                want = fresh[p.constraint_value]
+                assert (p.policy, p.accuracy, p.per_group) == \
+                    (want.policy, want.accuracy, want.metrics)
+        assert frontiers
+        if stat == "precision":
+            assert skips
+
+    @pytest.mark.parametrize("stat", MIN_RATE_STATISTICS)
+    def test_sweep_equals_choose_at_every_tau(self, stat):
+        # every tau, not only the frontier's survivors, against a fresh
+        # problem's _choose: the same spec, or the same error and group;
+        # the taus include each unconstrained value, where the floor is tau
+        tied = 0
+        for s in self.rounded_sets():
+            problem = policy_module._Problem(s)
+            uncon = [problem.stat(g, stat)[p] for g, p in enumerate(problem.uncon)]
+            taus = np.union1d(np.linspace(0.0, 1.0, 23), [u for u in uncon if u == u])
+            tied += sum(len(policy_module._min_rate_pass(problem, g, stat, taus)[1])
+                        for g in range(s.n_groups))
+            specs, skipped = policy_module._min_rate_sweep(problem, stat, taus)
+            got = {spec[2]["tau"]: spec for spec in specs}
+            got.update(skipped)
+            assert len(got) == len(taus)
+            for tau in taus:
+                constraint = MinimumRate(stat, float(tau))
+                try:
+                    want = policy_module._choose(policy_module._Problem(s), constraint)
+                except InfeasibleConstraintError as exc:
+                    have = got[float(tau)]
+                    assert isinstance(have, InfeasibleConstraintError)
+                    assert (str(have), have.blocking_group) == (str(exc), exc.blocking_group)
+                else:
+                    assert got[float(tau)] == want
+        assert tied
+
+    @pytest.mark.parametrize("stat, message", [
+        ("bogus", "unknown statistic 'bogus'"),
+        ("accuracy", "minimum rate statistic must be one of"),
+    ])
+    def test_bad_statistic_is_data_error(self, gap_scored, stat, message):
+        with pytest.raises(DataError, match=message):
+            mrc_frontier(gap_scored, stat, 20)
+
+    @pytest.mark.parametrize("stat", MIN_RATE_STATISTICS)
+    def test_one_pass_per_group_and_no_per_tau_search(self, gap_scored, stat, monkeypatch):
+        calls = {"_separable_search": 0, "_min_rate_pass": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(policy_module, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(policy_module, name, counted)
+        result = mrc_frontier(gap_scored, stat, 20)
+        assert len(result.points) > 1
+        assert calls == {"_separable_search": 0, "_min_rate_pass": gap_scored.n_groups}
 
 
 class TestSerialization:

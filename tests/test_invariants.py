@@ -14,8 +14,10 @@ exact ==:
 
 Every base result, the 50-point dp and eodds equality frontiers on
 4 x 2000 and 8 x 1000 rows and the cuae ones on 2 x 1200 and 4 x 2000
-rows are pinned by the SHA-256 of repr((thresholds, accuracy)), so a
-search change that moves any of them fails here.
+rows are pinned by the SHA-256 of repr((thresholds, accuracy)), as are
+the benchmark's 20-point minimum-rate frontiers on 4 x 50k rows for each
+of the four statistics, so a search change that moves any of them fails
+here.
 
 The data are drawn as the benchmark draws them: group g has base rate
 BASE_RATES[g], scores are the exact posteriors, and dataset k of a
@@ -42,6 +44,7 @@ from levelup import (
     disparity,
     enforce,
     equality_frontier,
+    mrc_frontier,
     scored_from_arrays,
     synth_generate,
 )
@@ -223,6 +226,23 @@ def test_cuae_frontier_points_are_pinned(name, least):
     assert frontier(name, CUAE).skipped == (
         "epsilon=0: no candidate policy reaches disparity <= 0.0; "
         f"minimum achievable disparity is {least}",)
+
+
+MRC_FRONTIER_PINS = {
+    "selection_rate": "63f88bf7c95600c01ffd36ce341e365aee84b945181abb7e5075a9dba3780ed1",
+    "tpr": "823323c02f47019de3f40ef59aaa886c00c8f75e06cb72d64988c11dda6dd795",
+    "tnr": "326aab232cad47b941fc3055adeac81793716be1e1ed6da5323b84a2e4875434",
+    "precision": "919d54f9fe25745bc15325ddd6462371bdf7ba8bf713f8df1143c8a0a08e8b36",
+}
+
+
+@pytest.mark.parametrize("stat", list(MRC_FRONTIER_PINS))
+def test_mrc_frontier_points_are_pinned(stat):
+    result = mrc_frontier(scored_set("4x50k"), stat, 20)
+    assert digest(tuple((p.policy.thresholds, p.accuracy) for p in result.points)) == \
+        MRC_FRONTIER_PINS[stat]
+    # every tau of these sweeps is feasible
+    assert result.skipped == ()
 
 
 @pytest.mark.parametrize("name, measure", [

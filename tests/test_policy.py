@@ -593,6 +593,21 @@ class TestWindowLayouts:
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
 
+    def test_distinct_values_equal_np_unique(self, gap_scored):
+        # member statistics with repeats: rounded rates, and every statistic
+        # of a problem's candidates, whose runs of equal values are long
+        rng = np.random.default_rng(29)
+        problem = policy_module._Problem(gap_scored)
+        samples = [np.round(rng.random(int(rng.integers(1, 200))), int(rng.integers(1, 3)))
+                   for _ in range(50)]
+        samples += [v[~np.isnan(v)] for v in (problem.stat(g, name) for g in range(2)
+                                              for name in policy_module.MIN_RATE_STATISTICS)]
+        samples += [rng.integers(0, 30, 100)]
+        for v in samples:
+            got, want = policy_module._distinct(v), np.unique(v)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_min_disparity_equals_the_zero_correct_search(self):
         # with one statistic, _min_disparity reads the layout; the window
         # search without a disparity bound on a copy whose members all count

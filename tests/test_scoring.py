@@ -131,6 +131,23 @@ class TestGradient:
         assert loss_a == loss_b
 
 
+def test_sigmoid_equals_the_two_branch_form_bit_for_bit():
+    z = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, 745.0, -745.0, 1e-300, -1e-300],
+        np.random.default_rng(12).normal(scale=30.0, size=100_000),
+    ])
+    want = np.empty_like(z)
+    pos = z >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    want[~pos] = ez / (1.0 + ez)
+    got = scoring_module._sigmoid(z)
+    # a NaN stays NaN; only its sign bit, which carries nothing, may differ
+    nan = np.isnan(z)
+    assert np.isnan(got[nan]).all() and np.isnan(want[nan]).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 class TestCalibrationTable:
     def test_hand_tallied_bins(self):
         s = scored_from_arrays(np.array([0.05, 0.15, 0.15, 0.95]),
