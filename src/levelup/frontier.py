@@ -27,6 +27,7 @@ from .policy import (
     Equality,
     EnforcementResult,
     InfeasibleConstraintError,
+    MinimumRate,
     ThresholdPolicy,
     Unconstrained,
     _EqualitySearch,
@@ -247,7 +248,8 @@ def mrc_frontier(
             f"{statistic} is undefined for some group under the "
             "unconstrained policy; no frontier exists"
         )
-    specs, skipped = _min_rate_sweep(problem, statistic, np.linspace(lo, 1.0, resolution))
+    specs, skipped = _min_rate_sweep(
+        problem, [MinimumRate(statistic, float(tau)) for tau in np.linspace(lo, 1.0, resolution)])
     return _frontier(problem, statistic, specs, skipped)
 
 

@@ -680,22 +680,6 @@ def _min_disparity(members) -> float:
 # ---------------------------------------------------------------------------
 # separable constraints: per-group feasible sets
 
-def _separable_search(problem, per_group_feasible, stat):
-    """Exact search when both objective and constraint split across groups:
-    (picks, None), or (None, the first group with no feasible candidate).
-
-    Each group keeps its accuracy-tied finalists, and _tie_break ranks
-    every combination of them.
-    """
-    finalist_sets = []
-    for g, feas in enumerate(per_group_feasible):
-        if not np.any(feas):
-            return None, g
-        c = np.where(feas, problem.correct(g), -1)
-        finalist_sets.append(np.flatnonzero(c == c.max()))
-    return _tie_break(problem, finalist_sets, stat), None
-
-
 def _tie_break(problem, finalist_sets, stat):
     """The pick among every combination of the groups' finalists, all of
     them feasible: the window search without a disparity bound ranks them
@@ -705,15 +689,6 @@ def _tie_break(problem, finalist_sets, stat):
     if all(len(s) == 1 for s in finalist_sets):
         return tuple(int(s[0]) for s in finalist_sets)
     return _window_search(_members(problem, (stat,), finalist_sets), math.inf)[2]
-
-
-def _rate_spec(constraint, picks):
-    """The spec of a MinimumRate or MaximumRate constraint's picks."""
-    if isinstance(constraint, MinimumRate):
-        word, params = "minimum", {"statistic": constraint.statistic, "tau": constraint.tau}
-    else:
-        word, params = "maximum", {"statistic": constraint.statistic, "kappa": constraint.kappa}
-    return picks, f"{word}_rate", params, "exact-grid", ""
 
 
 def _unreachable(problem, constraint, g) -> InfeasibleConstraintError:
@@ -738,20 +713,12 @@ def _unreachable(problem, constraint, g) -> InfeasibleConstraintError:
     )
 
 
-def _min_rate_floor(problem, g, stat, tau):
-    """Group g's feasible floor under MinimumRate(stat, tau): tau, raised to
-    the group's unconstrained value where that is defined; tau may be an
-    array."""
-    value = problem.stat(g, stat)[problem.uncon[g]]
-    return tau if np.isnan(value) else np.maximum(tau, value)
-
-
-def _min_rate_sweep(problem, stat, taus):
-    """What _choose returns or raises for MinimumRate(stat, tau) at every
-    tau in taus: the specs of the feasible ones and the (tau, error) pairs
-    of the rest, from one _min_rate_pass over each group's candidates."""
-    constraints = [MinimumRate(stat, float(tau)) for tau in taus]
-    taus = np.array([c.tau for c in constraints])
+def _min_rate_sweep(problem, constraints):
+    """The picks of MinimumRate constraints on one statistic: the specs of
+    the feasible ones and the (tau, error) pairs of the rest, from one
+    _min_rate_pass over each group's candidates."""
+    stat = constraints[0].statistic
+    taus = np.array([c.tau for c in constraints], dtype=np.float64)
     passes = [_min_rate_pass(problem, g, stat, taus) for g in range(len(problem.tables))]
     first = np.stack([p[0] for p in passes])
     specs, skipped = [], []
@@ -761,39 +728,52 @@ def _min_rate_sweep(problem, stat, taus):
             skipped.append((constraint.tau, _unreachable(problem, constraint, int(blocked[0]))))
             continue
         sets = [ties.get(t, first[g, t:t + 1]) for g, (_, ties) in enumerate(passes)]
-        specs.append(_rate_spec(constraint, _tie_break(problem, sets, stat)))
+        params = {"statistic": stat, "tau": constraint.tau}
+        specs.append((_tie_break(problem, sets, stat), "minimum_rate", params, "exact-grid", ""))
     return specs, skipped
 
 
 def _min_rate_pass(problem, g, stat, taus):
     """Group g's finalists under MinimumRate(stat, tau) at every tau in
-    taus: (the first finalist's index at each tau, -1 where no candidate is
-    feasible; {tau's position: its finalists} where there are several).
+    taus: (a finalist's index at each tau, -1 where no candidate is
+    feasible; {tau's position: its finalists, ascending} where there are
+    several).
 
-    The candidates with the statistic defined, in descending order of it,
-    meet a floor in a prefix, of length k by one binary search.  Over that
-    order, the running maximum best of the correct count and the count
-    reach of the positions holding their running maximum answer every
-    floor: the prefix's best count is best[k - 1], its first finalist is
-    where best first reaches that, and it holds more than one finalist when
-    reach grows past that position.
+    The floor at tau is tau, raised to the unconstrained pick's value where
+    that is defined.  A candidate holding fewer correct rows than the best
+    at the highest floor is a finalist at no floor, so the pass keeps the
+    rest of those meeting the lowest floor; at one tau, only the
+    finalists.  In descending order of the statistic they meet each floor
+    in a prefix, of length k by one binary search.  Over that order, the
+    running maximum best of the correct count and the count reach of the
+    positions holding their running maximum answer every floor: the
+    prefix's best count is best[k - 1], a finalist is where best first
+    reaches that, and the prefix holds more than one finalist when reach
+    grows past that position.
     """
-    # sort and searchsorted place NaN last, so no prefix holds one; the
-    # stable sort runs faster than the default on these nearly ordered
-    # values, with or without NaN.  Each candidate-length array is freed
-    # once used, so the sweep's peak memory stays that of the per-tau scan.
-    key = -problem.stat(g, stat)
+    vals, correct = problem.stat(g, stat), problem.correct(g)
+    floors = np.fmax(taus, vals[problem.uncon[g]])  # fmax skips a NaN
+    least = np.where(vals >= floors.max(), correct, -1).max()
+    idx = np.flatnonzero((vals >= floors.min()) & (correct >= least))  # a NaN meets no floor
+    if not len(idx):
+        return np.full(len(taus), -1), {}
+    # No answer depends on the order among equal values, so where the
+    # statistic rises along the candidates (tnr, mostly precision) they are
+    # taken reversed: the stable sort then runs in about linear time on
+    # these nearly ordered values.
+    key = -vals[idx]
+    if key[0] > key[-1]:
+        idx, key = idx[::-1], key[::-1]
     order = np.argsort(key, kind="stable")
-    k = np.searchsorted(key[order], -_min_rate_floor(problem, g, stat, taus), "right")
-    del key
-    correct = problem.correct(g)[order]
+    k = np.searchsorted(key[order], -floors, "right")
+    order = idx[order]
+    correct = correct[order]
     best = np.maximum.accumulate(correct)
     top = best[k - 1]
     at = np.searchsorted(best, top)
     reach = correct  # overwritten in place
     np.equal(correct, best, out=reach)
     np.cumsum(reach, out=reach)
-    del best
     feasible = k > 0
     first = np.where(feasible, order[at], -1)
     ties = {}
@@ -875,18 +855,21 @@ def _choose(problem, constraint):
     if isinstance(constraint, Unconstrained):
         return problem.uncon, "unconstrained", {}, "exact-grid", ""
 
-    if isinstance(constraint, (MinimumRate, MaximumRate)):
-        stat = constraint.statistic
-        stats = [problem.stat(g, stat) for g in range(len(problem.tables))]
-        if isinstance(constraint, MinimumRate):
-            feas = [vals >= _min_rate_floor(problem, g, stat, constraint.tau)
-                    for g, vals in enumerate(stats)]
-        else:
-            feas = [vals <= constraint.kappa for vals in stats]
-        picks, blocked = _separable_search(problem, feas, stat)
-        if picks is None:
-            raise _unreachable(problem, constraint, blocked)
-        return _rate_spec(constraint, picks)
+    if isinstance(constraint, MinimumRate):
+        specs, skipped = _min_rate_sweep(problem, [constraint])
+        if skipped:
+            raise skipped[0][1]
+        return specs[0]
+
+    if isinstance(constraint, MaximumRate):
+        stat, finalist_sets = constraint.statistic, []
+        for g in range(len(problem.tables)):
+            c = np.where(problem.stat(g, stat) <= constraint.kappa, problem.correct(g), -1)
+            if c.max() < 0:
+                raise _unreachable(problem, constraint, g)
+            finalist_sets.append(np.flatnonzero(c == c.max()))
+        params = {"statistic": stat, "kappa": constraint.kappa}
+        return _tie_break(problem, finalist_sets, stat), "maximum_rate", params, "exact-grid", ""
 
     if isinstance(constraint, Equality):
         return _EqualitySearch(problem, constraint).choose(constraint.epsilon)

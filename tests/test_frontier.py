@@ -364,31 +364,31 @@ class TestMrcFrontier:
             assert skips
 
     @pytest.mark.parametrize("stat", MIN_RATE_STATISTICS)
-    def test_sweep_equals_choose_at_every_tau(self, stat):
-        # every tau, not only the frontier's survivors, against a fresh
-        # problem's _choose: the same spec, or the same error and group;
-        # the taus include each unconstrained value, where the floor is tau
+    def test_pass_finalists_equal_a_scan_of_the_rows(self, stat):
+        # each group's finalists at every tau, not only the frontier's, and
+        # at its unconstrained value, where the floor is tau, against the
+        # rows: the candidates whose statistic reaches max(tau, the
+        # unconstrained pick's value) that hold the most correct rows
         tied = 0
         for s in self.rounded_sets():
             problem = policy_module._Problem(s)
-            uncon = [problem.stat(g, stat)[p] for g, p in enumerate(problem.uncon)]
-            taus = np.union1d(np.linspace(0.0, 1.0, 23), [u for u in uncon if u == u])
-            tied += sum(len(policy_module._min_rate_pass(problem, g, stat, taus)[1])
-                        for g in range(s.n_groups))
-            specs, skipped = policy_module._min_rate_sweep(problem, stat, taus)
-            got = {spec[2]["tau"]: spec for spec in specs}
-            got.update(skipped)
-            assert len(got) == len(taus)
-            for tau in taus:
-                constraint = MinimumRate(stat, float(tau))
-                try:
-                    want = policy_module._choose(policy_module._Problem(s), constraint)
-                except InfeasibleConstraintError as exc:
-                    have = got[float(tau)]
-                    assert isinstance(have, InfeasibleConstraintError)
-                    assert (str(have), have.blocking_group) == (str(exc), exc.blocking_group)
-                else:
-                    assert got[float(tau)] == want
+            for g in range(s.n_groups):
+                rows = s.groups == g
+                counts = [oracle.tally(s.scores[rows], s.labels[rows], t)
+                          for t in oracle.candidate_grid(s.scores[rows])]
+                correct = [tp + tn for tp, _, _, tn in counts]
+                vals = [oracle.stat_from_counts(c, stat) for c in counts]
+                floor = vals[correct.index(max(correct))]
+                taus = np.union1d(np.linspace(0.0, 1.0, 23), [] if floor is None else [floor])
+                first, ties = policy_module._min_rate_pass(problem, g, stat, taus)
+                for t, tau in enumerate(taus):
+                    need = tau if floor is None else max(tau, floor)
+                    feasible = [i for i, v in enumerate(vals) if v is not None and v >= need]
+                    most = max((correct[i] for i in feasible), default=None)
+                    want = [i for i in feasible if correct[i] == most]
+                    got = ties[t].tolist() if t in ties else [int(first[t])]
+                    assert got == (want or [-1]), (g, tau)
+                tied += len(ties)
         assert tied
 
     @pytest.mark.parametrize("stat, message", [
@@ -401,15 +401,16 @@ class TestMrcFrontier:
 
     @pytest.mark.parametrize("stat", MIN_RATE_STATISTICS)
     def test_one_pass_per_group_and_no_per_tau_search(self, gap_scored, stat, monkeypatch):
-        calls = {"_separable_search": 0, "_min_rate_pass": 0}
-        for name in calls:
-            def counted(*args, _f=getattr(policy_module, name), _name=name):
-                calls[_name] += 1
-                return _f(*args)
-            monkeypatch.setattr(policy_module, name, counted)
+        calls = []
+        monkeypatch.setattr(policy_module, "_min_rate_pass",
+                            lambda *args, _f=policy_module._min_rate_pass: calls.append(args[1])
+                            or _f(*args))
         result = mrc_frontier(gap_scored, stat, 20)
         assert len(result.points) > 1
-        assert calls == {"_separable_search": 0, "_min_rate_pass": gap_scored.n_groups}
+        assert calls == list(range(gap_scored.n_groups))
+        # enforce is the sweep at one tau
+        enforce(gap_scored, MinimumRate(stat, 0.0))
+        assert calls == 2 * list(range(gap_scored.n_groups))
 
 
 class TestSerialization:
