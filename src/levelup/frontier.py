@@ -36,7 +36,7 @@ from .policy import (
     _choose,
     _finish,
     _metrics,
-    _min_rate_sweep,
+    _separable_sweep,
     policy_from_json_dict,
     policy_to_json_dict,
 )
@@ -248,7 +248,7 @@ def mrc_frontier(
             f"{statistic} is undefined for some group under the "
             "unconstrained policy; no frontier exists"
         )
-    specs, skipped = _min_rate_sweep(
+    specs, skipped = _separable_sweep(
         problem, [MinimumRate(statistic, float(tau)) for tau in np.linspace(lo, 1.0, resolution)])
     return _frontier(problem, statistic, specs, skipped)
 

@@ -16,13 +16,16 @@ higher minimum group value of that statistic (the first one, for a
 measure tracking two), then the lexicographically smallest threshold
 vector.  Unconstrained has no relevant statistic, so its ties go
 straight to the lexicographic rule.  The search is exact for every
-constraint at any group count: Equality and the tie-break among
-separable finalists use one anchored-window search, which answers each
-stage of the tie-break as an exact question on its windows and never
-lists the tied combinations, and the minimum disparity over one
-statistic is read off the same windows (see the window search section
-below).  Provenance.approximate stays in the file format for old policy
-files and is always false.
+constraint at any group count.  Equality uses one anchored-window
+search, which answers each stage of the tie-break as an exact question
+on its windows and never lists the tied combinations, and reads the
+minimum disparity over one statistic off the same windows (see the
+window search section below).  MinimumRate and MaximumRate are
+separable: one pass over each group's candidates finds its finalists,
+which all hold the group's best correct count, so the tie-break among
+their combinations is read in closed form off the groups' sorted
+finalist values.  Provenance.approximate stays in the file format for
+old policy files and is always false.
 
 Problem.  Each enforce, level-up, frontier and CLI enforce works on one
 _Problem: the scored dataset, its candidate tables, the unconstrained
@@ -42,9 +45,9 @@ policy with its baseline.
 Levelling-up floor.  MinimumRate enforcement never returns a policy in
 which any group's constrained statistic falls below the value that group
 gets under Unconstrained: the feasible set is statistic >= max(tau,
-unconstrained value).  Equality carries no such floor; dragging the
-better-off group down is exactly the behaviour it is allowed to exhibit,
-and the audit module exists to expose it.
+unconstrained value).  Equality and MaximumRate carry no such floor;
+dragging the better-off group down is exactly the behaviour they are
+allowed to exhibit, and the audit module exists to expose it.
 """
 
 from __future__ import annotations
@@ -398,20 +401,24 @@ class _Members:
                         self.rank[:, keep], self.values, self.correct[keep])
 
 
-def _members(problem, stat_names, subsets=None) -> _Members | None:
-    """Every group's candidates (all, or those in subsets[g]) to search;
-    None when a group has none."""
+def _members(problem, stat_names) -> _Members:
+    """Every group's candidates to search; an InfeasibleConstraintError
+    naming the first group with none at which every statistic is
+    defined."""
     parts = []
     for g, t in enumerate(problem.tables):
-        idx = np.arange(t.m) if subsets is None else subsets[g]
-        parts.append((np.full(len(idx), g), idx, problem.correct(g)[idx],
-                      *(problem.stat(g, name)[idx] for name in stat_names)))
+        parts.append((np.full(t.m, g), np.arange(t.m), problem.correct(g),
+                      *(problem.stat(g, name) for name in stat_names)))
     group, idx, correct, *stats = map(np.concatenate, zip(*parts))
     keep = np.flatnonzero(~np.isnan(stats).any(axis=0))
     keep = keep[np.lexsort((*(v[keep] for v in stats[::-1]), group[keep]))]
     group, idx, stats, correct = group[keep], idx[keep], np.stack(stats)[:, keep], correct[keep]
-    if not np.bincount(group, minlength=len(parts)).all():
-        return None
+    empty = np.flatnonzero(np.bincount(group, minlength=len(parts)) == 0)
+    if len(empty):
+        raise InfeasibleConstraintError(
+            "tracked statistic is undefined for every candidate policy",
+            blocking_group=problem.scored.group_names[empty[0]],
+        )
     values = [_distinct(v) for v in stats]
     rank = np.stack([np.searchsorted(u, v) for u, v in zip(values, stats)])
     return _Members(len(parts), group, idx, stats, rank, values, correct)
@@ -500,13 +507,14 @@ def _pick(members, runs, value, d, at):
 
 
 def _window_search(members, eps):
-    """The tie-break's pick among feasible combinations of one member per
+    """Equality's pick among feasible combinations of one member per
     group: (top, d, pick), where top is the best total correct, d the least
     disparity among the combinations reaching it and pick their first by
     higher minimum, then smallest candidate indices; (-1, inf, None) when
     none is feasible.  Both statistic counts search the members as given,
     never a subset, so the set's cached layouts serve every eps; two
-    statistics go to _box_scan.
+    statistics go to _box_scan.  Separable constraints never come here:
+    their tie-break is _tie_break's closed form.
     """
     if len(members.stats) == 2:
         return _box_scan(members, [_ends(v, eps) for v in members.values])
@@ -682,13 +690,29 @@ def _min_disparity(members) -> float:
 
 def _tie_break(problem, finalist_sets, stat):
     """The pick among every combination of the groups' finalists, all of
-    them feasible: the window search without a disparity bound ranks them
-    by the tie-break."""
-    # One finalist per group is the pick.  The window search returns the
-    # same, but its fixed cost per call shows in the min-rate frontier.
+    them feasible and, since each finalist holds its group's best correct
+    count, all equally accurate: the tie-break's later stages in closed
+    form.
+
+    An anchor is a finalist value up to the least of the groups' largest,
+    and a group's gap at it is its first finalist value at or above the
+    anchor minus the anchor, the subtraction metrics.disparity does.  The
+    least disparity d is the smallest, over anchors, of the largest gap;
+    the higher minimum is the largest anchor a reaching d; there, each
+    group takes its smallest index among the finalists v with a <= v and
+    v - a <= d.
+    """
     if all(len(s) == 1 for s in finalist_sets):
         return tuple(int(s[0]) for s in finalist_sets)
-    return _window_search(_members(problem, (stat,), finalist_sets), math.inf)[2]
+    values = [problem.stat(g, stat)[s] for g, s in enumerate(finalist_sets)]
+    ordered = [np.sort(v) for v in values]
+    anchors = np.concatenate(ordered)
+    anchors = anchors[anchors <= min(v[-1] for v in ordered)]
+    least = np.max([v[np.searchsorted(v, anchors)] - anchors for v in ordered], axis=0)
+    d = least.min()
+    a = anchors[least == d].max()
+    # finalist sets ascend, so the first candidate in the window is the smallest
+    return tuple(int(s[np.argmax((a <= v) & (v - a <= d))]) for s, v in zip(finalist_sets, values))
 
 
 def _unreachable(problem, constraint, g) -> InfeasibleConstraintError:
@@ -713,54 +737,69 @@ def _unreachable(problem, constraint, g) -> InfeasibleConstraintError:
     )
 
 
-def _min_rate_sweep(problem, constraints):
-    """The picks of MinimumRate constraints on one statistic: the specs of
-    the feasible ones and the (tau, error) pairs of the rest, from one
-    _min_rate_pass over each group's candidates."""
+def _separable_sweep(problem, constraints):
+    """The picks of MinimumRate constraints, or of MaximumRate ones, on one
+    statistic: the specs of the feasible ones and the (bound, error) pairs
+    of the rest, from one _separable_pass over each group's candidates.
+
+    A minimum rate tau is the floor max(tau, the unconstrained pick's
+    value) on the statistic.  A cap kappa is the floor -kappa on the
+    negated statistic, which a value v meets exactly when v <= kappa, and
+    no levelling-up floor: a cap may level a group down.
+    """
     stat = constraints[0].statistic
-    taus = np.array([c.tau for c in constraints], dtype=np.float64)
-    passes = [_min_rate_pass(problem, g, stat, taus) for g in range(len(problem.tables))]
+    cap = isinstance(constraints[0], MaximumRate)
+    name, key = ("maximum_rate", "kappa") if cap else ("minimum_rate", "tau")
+    bounds = [getattr(c, key) for c in constraints]
+    levels = np.array(bounds, dtype=np.float64)
+    passes = []
+    for g in range(len(problem.tables)):
+        vals = problem.stat(g, stat)
+        if cap:
+            floors, vals = -levels, -vals
+        else:
+            floors = np.fmax(levels, vals[problem.uncon[g]])  # fmax skips a NaN
+        passes.append(_separable_pass(problem, g, vals, floors))
     first = np.stack([p[0] for p in passes])
     specs, skipped = [], []
-    for t, constraint in enumerate(constraints):
+    for t, (constraint, bound) in enumerate(zip(constraints, bounds)):
         blocked = np.flatnonzero(first[:, t] < 0)
         if len(blocked):
-            skipped.append((constraint.tau, _unreachable(problem, constraint, int(blocked[0]))))
+            skipped.append((bound, _unreachable(problem, constraint, int(blocked[0]))))
             continue
         sets = [ties.get(t, first[g, t:t + 1]) for g, (_, ties) in enumerate(passes)]
-        params = {"statistic": stat, "tau": constraint.tau}
-        specs.append((_tie_break(problem, sets, stat), "minimum_rate", params, "exact-grid", ""))
+        params = {"statistic": stat, key: bound}
+        specs.append((_tie_break(problem, sets, stat), name, params, "exact-grid", ""))
     return specs, skipped
 
 
-def _min_rate_pass(problem, g, stat, taus):
-    """Group g's finalists under MinimumRate(stat, tau) at every tau in
-    taus: (a finalist's index at each tau, -1 where no candidate is
-    feasible; {tau's position: its finalists, ascending} where there are
-    several).
+def _separable_pass(problem, g, vals, floors):
+    """Group g's finalists, among its candidates with values vals, at every
+    floor in floors: (a finalist's index at each floor, -1 where no
+    candidate meets it; {floor's position: its finalists, ascending} where
+    there are several).
 
-    The floor at tau is tau, raised to the unconstrained pick's value where
-    that is defined.  A candidate holding fewer correct rows than the best
-    at the highest floor is a finalist at no floor, so the pass keeps the
-    rest of those meeting the lowest floor; at one tau, only the
-    finalists.  In descending order of the statistic they meet each floor
-    in a prefix, of length k by one binary search.  Over that order, the
+    A finalist meets the floor and holds the most correct rows among the
+    candidates that do.  A candidate holding fewer correct rows than the
+    best at the highest floor is a finalist at no floor, so the pass keeps
+    the rest of those meeting the lowest floor; at one floor, only the
+    finalists.  In descending order of vals they meet each floor in a
+    prefix, of length k by one binary search.  Over that order, the
     running maximum best of the correct count and the count reach of the
     positions holding their running maximum answer every floor: the
     prefix's best count is best[k - 1], a finalist is where best first
     reaches that, and the prefix holds more than one finalist when reach
     grows past that position.
     """
-    vals, correct = problem.stat(g, stat), problem.correct(g)
-    floors = np.fmax(taus, vals[problem.uncon[g]])  # fmax skips a NaN
+    correct = problem.correct(g)
     least = np.where(vals >= floors.max(), correct, -1).max()
     idx = np.flatnonzero((vals >= floors.min()) & (correct >= least))  # a NaN meets no floor
     if not len(idx):
-        return np.full(len(taus), -1), {}
-    # No answer depends on the order among equal values, so where the
-    # statistic rises along the candidates (tnr, mostly precision) they are
-    # taken reversed: the stable sort then runs in about linear time on
-    # these nearly ordered values.
+        return np.full(len(floors), -1), {}
+    # No answer depends on the order among equal values, so where vals
+    # rise along the candidates (tnr, mostly precision, a negated
+    # selection rate) they are taken reversed: the stable sort then runs in
+    # about linear time on these nearly ordered values.
     key = -vals[idx]
     if key[0] > key[-1]:
         idx, key = idx[::-1], key[::-1]
@@ -855,21 +894,11 @@ def _choose(problem, constraint):
     if isinstance(constraint, Unconstrained):
         return problem.uncon, "unconstrained", {}, "exact-grid", ""
 
-    if isinstance(constraint, MinimumRate):
-        specs, skipped = _min_rate_sweep(problem, [constraint])
+    if isinstance(constraint, (MinimumRate, MaximumRate)):
+        specs, skipped = _separable_sweep(problem, [constraint])
         if skipped:
             raise skipped[0][1]
         return specs[0]
-
-    if isinstance(constraint, MaximumRate):
-        stat, finalist_sets = constraint.statistic, []
-        for g in range(len(problem.tables)):
-            c = np.where(problem.stat(g, stat) <= constraint.kappa, problem.correct(g), -1)
-            if c.max() < 0:
-                raise _unreachable(problem, constraint, g)
-            finalist_sets.append(np.flatnonzero(c == c.max()))
-        params = {"statistic": stat, "kappa": constraint.kappa}
-        return _tie_break(problem, finalist_sets, stat), "maximum_rate", params, "exact-grid", ""
 
     if isinstance(constraint, Equality):
         return _EqualitySearch(problem, constraint).choose(constraint.epsilon)
@@ -899,10 +928,6 @@ class _EqualitySearch:
     def __init__(self, problem, constraint: Equality):
         self.measure = constraint.measure
         self.members = _members(problem, tracked_statistics(constraint.measure))
-        if self.members is None:
-            raise InfeasibleConstraintError(
-                "tracked statistic is undefined for every candidate policy"
-            )
         self.min_disparity = None
         self.last = None  # (epsilon, d, picks) of the last search that found picks
 

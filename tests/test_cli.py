@@ -254,6 +254,20 @@ class TestEnforce:
         err = capsys.readouterr().err
         assert "blocking group: a" in err
 
+    def test_equality_undefined_statistic_names_the_group(self, tmp_path, capsys):
+        # group b has no positive rows, so equal opportunity's tpr is
+        # undefined at every threshold of it
+        scored = scored_from_arrays(np.array([0.2, 0.9, 0.3, 0.4]),
+                                    np.array([0, 1, 0, 0]),
+                                    np.array([0, 0, 1, 1]), ("a", "b"))
+        path = tmp_path / "scores.csv"
+        write_scores_csv(scored, path)
+        code = main(["enforce", "--scores", str(path), "--constraint", "eo",
+                     "--epsilon", "0.1", "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "undefined for every candidate policy (blocking group: b)" in err
+
 
 class TestFrontier:
     def test_min_rate_mode(self, scores_path, tmp_path):

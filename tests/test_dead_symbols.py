@@ -7,6 +7,8 @@ every field, method and self attribute of a private class must be read
 as .name on a line of src/levelup other than those defining it.  And
 every module-level import of a src/levelup module other than __init__,
 whose imports are the package's re-exports, must be read in its module.
+Every optional parameter of a module-level private function must be
+passed, by position or by keyword, by some call of it in src/levelup.
 """
 
 import ast
@@ -73,6 +75,43 @@ def unused_imports(tree):
                     yield name, node.lineno
 
 
+def unpassed_parameters(trees):
+    """'module:line function(parameter)' of each optional parameter of a
+    module-level private function in trees ({path: tree}) that no call by
+    the function's name passes.  A function whose name is also read other
+    than as a call, as a callback say, is taken to have every parameter
+    passed, as is any call unpacking *args or **kwargs."""
+    calls, other = {}, set()
+    for tree in trees.values():
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+                callees.add(id(node.func))
+        other |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                  and id(node) not in callees}
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and is_private(node.name)) or node.name in other:
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            optional = [(i, a.arg) for i, a in enumerate(positional)
+                        if i >= len(positional) - len(args.defaults)]
+            optional += [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None]
+            for i, param in optional:
+                if not any(
+                        any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg in (None, param) for k in call.keywords)
+                        or (i is not None and len(call.args) > i)
+                        for call in calls.get(node.name, [])):
+                    yield f"{path.name}:{node.lineno} {node.name}({param})"
+
+
 def unused(pattern, definitions, lines):
     """The definitions (path, name, line) that no line of any source
     matches pattern(name) on, except the lines defining that name."""
@@ -119,6 +158,11 @@ def test_no_unused_imports():
     assert unread == []
 
 
+def test_no_unpassed_optional_parameters():
+    _, trees = sources()
+    assert list(unpassed_parameters(trees)) == []
+
+
 def test_finds_an_unused_private_function():
     tree = ast.parse("def _unused():\n    pass\n\n_TABLE = {}\n__all__ = []\n")
     assert list(private_definitions(tree)) == [("_unused", 1), ("_TABLE", 4)]
@@ -142,3 +186,13 @@ def test_finds_an_unused_import():
                      "@dataclass\nclass A:\n    x: np.ndarray\n\n"
                      "def f():\n    import json\n    return os.path.sep\n")
     assert list(unused_imports(tree)) == [("math", 2), ("replace", 5)]
+
+
+def test_finds_an_unpassed_optional_parameter():
+    tree = ast.parse("def _f(a, b=None, *, c=1, d=2):\n    pass\n\n"
+                     "def _g(x=0):\n    pass\n\n"
+                     "def _h(y=0):\n    pass\n\n"
+                     "def _k(z=0):\n    pass\n\n"
+                     "def f(w=0):\n    pass\n\n"
+                     "_f(1, d=3)\nmap(_g, [])\n_h(*[1])\nx._k(z=1)\nf()\n")
+    assert list(unpassed_parameters({Path("a.py"): tree})) == ["a.py:1 _f(b)", "a.py:1 _f(c)"]

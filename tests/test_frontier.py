@@ -9,6 +9,7 @@ from levelup import (
     FairnessMeasure,
     FrontierPoint,
     InfeasibleConstraintError,
+    MaximumRate,
     MinimumRate,
     Unconstrained,
     enforce,
@@ -363,12 +364,16 @@ class TestMrcFrontier:
         if stat == "precision":
             assert skips
 
-    @pytest.mark.parametrize("stat", MIN_RATE_STATISTICS)
-    def test_pass_finalists_equal_a_scan_of_the_rows(self, stat):
+    @pytest.mark.parametrize("stat, cap", [(s, cap) for cap in (False, True) for s in MIN_RATE_STATISTICS],
+                             ids=[*MIN_RATE_STATISTICS, *(f"{s}-cap" for s in MIN_RATE_STATISTICS)])
+    def test_pass_finalists_equal_a_scan_of_the_rows(self, stat, cap):
         # each group's finalists at every tau, not only the frontier's, and
         # at its unconstrained value, where the floor is tau, against the
         # rows: the candidates whose statistic reaches max(tau, the
-        # unconstrained pick's value) that hold the most correct rows
+        # unconstrained pick's value) that hold the most correct rows.  A
+        # cap kappa is the floor tau = -kappa on the negated statistic,
+        # with no levelling-up floor.
+        sign = -1.0 if cap else 1.0
         tied = 0
         for s in self.rounded_sets():
             problem = policy_module._Problem(s)
@@ -378,9 +383,12 @@ class TestMrcFrontier:
                           for t in oracle.candidate_grid(s.scores[rows])]
                 correct = [tp + tn for tp, _, _, tn in counts]
                 vals = [oracle.stat_from_counts(c, stat) for c in counts]
-                floor = vals[correct.index(max(correct))]
-                taus = np.union1d(np.linspace(0.0, 1.0, 23), [] if floor is None else [floor])
-                first, ties = policy_module._min_rate_pass(problem, g, stat, taus)
+                vals = [None if v is None else sign * v for v in vals]
+                floor = None if cap else vals[correct.index(max(correct))]
+                taus = np.union1d(sign * np.linspace(0.0, 1.0, 23), [] if floor is None else [floor])
+                first, ties = policy_module._separable_pass(
+                    problem, g, sign * problem.stat(g, stat),
+                    taus if floor is None else np.maximum(taus, floor))
                 for t, tau in enumerate(taus):
                     need = tau if floor is None else max(tau, floor)
                     feasible = [i for i, v in enumerate(vals) if v is not None and v >= need]
@@ -390,6 +398,25 @@ class TestMrcFrontier:
                     assert got == (want or [-1]), (g, tau)
                 tied += len(ties)
         assert tied
+
+    def test_separable_picks_never_reach_the_window_search(self, monkeypatch):
+        ties = count_calls(monkeypatch, "_tie_break")
+        members = count_calls(monkeypatch, "_members")
+        searches = count_calls(monkeypatch, "_window_search")
+        for s in self.rounded_sets():
+            for stat in MIN_RATE_STATISTICS:
+                try:
+                    mrc_frontier(s, stat, 12)
+                except DataError:
+                    pass
+            for kappa in (0.3, 0.6, 1.0):
+                try:
+                    enforce(s, MaximumRate(kappa))
+                except InfeasibleConstraintError:
+                    pass
+        # multi-finalist tie-breaks happened, and none searched windows
+        assert any(sum(len(f) > 1 for f in args[1]) >= 2 for args in ties)
+        assert members == searches == []
 
     @pytest.mark.parametrize("stat, message", [
         ("bogus", "unknown statistic 'bogus'"),
@@ -402,8 +429,8 @@ class TestMrcFrontier:
     @pytest.mark.parametrize("stat", MIN_RATE_STATISTICS)
     def test_one_pass_per_group_and_no_per_tau_search(self, gap_scored, stat, monkeypatch):
         calls = []
-        monkeypatch.setattr(policy_module, "_min_rate_pass",
-                            lambda *args, _f=policy_module._min_rate_pass: calls.append(args[1])
+        monkeypatch.setattr(policy_module, "_separable_pass",
+                            lambda *args, _f=policy_module._separable_pass: calls.append(args[1])
                             or _f(*args))
         result = mrc_frontier(gap_scored, stat, 20)
         assert len(result.points) > 1
@@ -411,6 +438,9 @@ class TestMrcFrontier:
         # enforce is the sweep at one tau
         enforce(gap_scored, MinimumRate(stat, 0.0))
         assert calls == 2 * list(range(gap_scored.n_groups))
+        # and a cap is the same pass
+        enforce(gap_scored, MaximumRate(1.0))
+        assert calls == 3 * list(range(gap_scored.n_groups))
 
 
 class TestSerialization:

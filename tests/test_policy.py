@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +61,15 @@ def scored_of(rows):
     labels = np.array([r[1] for r in rows])
     groups = np.array([names.index(r[2]) for r in rows])
     return scored_from_arrays(scores, labels, groups, tuple(names))
+
+
+def members_or_none(scored, measure):
+    """The window search's member set of the measure; None when some
+    group has no candidate at which every tracked statistic is defined."""
+    try:
+        return policy_module._members(policy_module._Problem(scored), tracked_statistics(measure))
+    except InfeasibleConstraintError:
+        return None
 
 
 class TestCandidateThresholds:
@@ -499,8 +509,7 @@ class TestSearchAnswers:
             # at most 4 ** 5 combinations, so the brute force stays quick
             scored = random_small_scored(rng, n_groups=n_groups,
                                          max_distinct={2: 8, 3: 5, 4: 4, 5: 3}[n_groups])
-            problem = policy_module._Problem(scored)
-            members = policy_module._members(problem, tracked_statistics(measure))
+            members = members_or_none(scored, measure)
             if members is None:
                 assert oracle.brute_force_min_disparity(scored, measure) is None
                 continue
@@ -632,7 +641,7 @@ class TestWindowLayouts:
         compared = warm_from_fewer = 0
         for i in range(60):
             scored = random_small_scored(rng, n_groups=2 + i % 4, max_distinct=10)
-            members = policy_module._members(policy_module._Problem(scored), tracked_statistics(measure))
+            members = members_or_none(scored, measure)
             if members is None:
                 continue
             for _ in range(4):
@@ -703,7 +712,7 @@ class TestScanWithoutPrune:
                 scored = random_small_scored(rng, n_groups=G, max_distinct=int(rng.integers(3, 16)))
             else:
                 scored = self.rounded_scored(int(rng.integers(1000)))
-            members = policy_module._members(policy_module._Problem(scored), tracked_statistics(measure))
+            members = members_or_none(scored, measure)
             if members is None:
                 continue
             least = policy_module._min_disparity(members)
@@ -794,6 +803,71 @@ class TestSeparableTiePlateau:
         assert disparity(result.metrics, DP) == smallest_spread(plateau)
 
 
+class TestSeparableTieBreak:
+    """Every finalist of a group holds the group's best correct count, so
+    the separable tie-break is read off the groups' sorted finalist values
+    in closed form, never through the window search."""
+
+    @staticmethod
+    def constraints(rng):
+        for stat in policy_module.MIN_RATE_STATISTICS:
+            yield MinimumRate(stat, float(rng.choice([0.0, 0.25, 0.5, 0.75])))
+        yield MaximumRate(float(rng.choice([0.25, 0.5, 0.75, 1.0])))
+
+    def test_equals_brute_force(self, monkeypatch):
+        tied = []
+        inner = policy_module._tie_break
+
+        def counted(problem, finalist_sets, stat):
+            tied.append(sum(len(s) > 1 for s in finalist_sets) >= 2)
+            return inner(problem, finalist_sets, stat)
+
+        monkeypatch.setattr(policy_module, "_tie_break", counted)
+        rng = np.random.default_rng(41)
+        for i in range(60):
+            n_groups = 2 + i % 4
+            # groups of 2 to 10 rows scored on a grid of a few values, so
+            # that finalists tie; at most 4 ** 5 combinations
+            grid = np.linspace(0.1, 0.9, {2: 7, 3: 4, 4: 3, 5: 3}[n_groups])
+            groups = np.repeat(np.arange(n_groups), rng.integers(2, 11, n_groups))
+            scored = scored_from_arrays(rng.choice(grid, len(groups)), rng.integers(0, 2, len(groups)),
+                                        groups, tuple(f"g{g}" for g in range(n_groups)))
+            for constraint in self.constraints(rng):
+                want = oracle.brute_force_enforce(scored, constraint)
+                if want is None:
+                    with pytest.raises(InfeasibleConstraintError):
+                        enforce(scored, constraint)
+                    continue
+                got = enforce(scored, constraint)
+                assert (got.policy.thresholds, got.accuracy) == (want[0], want[2]), constraint
+        # multi-finalist tie-breaks with at least two tied groups happened
+        assert sum(tied) >= 10
+
+    def test_equals_the_window_search(self):
+        rng = np.random.default_rng(43)
+        for i in range(400):
+            G = int(rng.integers(2, 9))
+            # each group's candidate values drawn from a few shared ones
+            grid = np.round(rng.random(int(rng.integers(1, 12))), int(rng.integers(1, 3)))
+            tables = [rng.choice(grid, int(rng.integers(1, 15))) for _ in range(G)]
+            sets = [np.sort(rng.choice(len(v), int(rng.integers(1, len(v) + 1)), replace=False))
+                    for v in tables]
+            problem = types.SimpleNamespace(stat=lambda g, _: tables[g])
+            # the finalists as members by (group, value), each group holding
+            # one correct count
+            group = np.concatenate([np.full(len(s), g) for g, s in enumerate(sets)])
+            idx = np.concatenate(sets)
+            value = np.concatenate([v[s] for v, s in zip(tables, sets)])
+            keep = np.lexsort((value, group))
+            values = policy_module._distinct(value)
+            members = policy_module._Members(
+                G, group[keep], idx[keep], value[None, keep],
+                np.searchsorted(values, value[keep])[None], [values],
+                rng.integers(0, 50, G)[group[keep]])
+            assert policy_module._tie_break(problem, sets, "s") == \
+                policy_module._window_search(members, math.inf)[2]
+
+
 class TestEqualityTiePlateau:
     @staticmethod
     def plateau_enforce(sizes, measure):
@@ -881,6 +955,26 @@ class TestMinimumRateSemantics:
             enforce(s, MinimumRate("precision", 0.999))
         assert info.value.blocking_group == "b"
         assert "0.5" in str(info.value)
+
+
+class TestEqualityUndefinedStatistic:
+    """A group with no candidate at which every tracked statistic is
+    defined makes Equality infeasible, and the error names it."""
+
+    @pytest.mark.parametrize("measure, rows", [
+        # group b has no positives, so tpr is undefined at every threshold
+        (EO, [(0.2, 0, "a"), (0.7, 1, "a"), (0.3, 0, "b"), (0.6, 0, "b")]),
+        # group b has one distinct score: accepting all leaves npv
+        # undefined, rejecting all precision
+        (CUAE, [(0.2, 0, "a"), (0.7, 1, "a"), (0.4, 0, "b"), (0.4, 1, "b")]),
+        # groups b and c both lack positives; b comes first
+        (EO, [(0.2, 0, "a"), (0.7, 1, "a"), (0.3, 0, "b"), (0.5, 0, "c")]),
+    ], ids=["eo-no-positives", "cuae-one-score", "first-of-two"])
+    def test_blocking_group_is_named(self, measure, rows):
+        with pytest.raises(InfeasibleConstraintError) as info:
+            enforce(scored_of(rows), Equality(measure, 0.5))
+        assert str(info.value) == "tracked statistic is undefined for every candidate policy"
+        assert info.value.blocking_group == "b"
 
 
 class TestMaximumRateSemantics:
