@@ -9,7 +9,7 @@ rule throughout the package is: predict positive iff score >= threshold.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -385,9 +385,12 @@ def metrics_to_json_dict(metrics: GroupMetrics) -> dict:
     under the group's "undefined" key so they cannot be mistaken for
     missing data.
     """
+    # the fields read directly: dataclasses.asdict deep-copies each value
+    keys = [f.name for f in fields(GroupStats)]
     out = {}
     for gid, name in enumerate(metrics.group_names):
-        stats = asdict(metrics.for_group(gid))
+        group = metrics.for_group(gid)
+        stats = {k: getattr(group, k) for k in keys}
         undefined = sorted(k for k, v in stats.items() if v is None)
         stats["undefined"] = undefined
         out[name] = stats

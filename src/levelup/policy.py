@@ -344,14 +344,14 @@ _CHUNK_MEMBERS = 4096
 @dataclass
 class _Members:
     """Every group's candidates whose tracked statistics are all defined,
-    in one array sorted by (group, first statistic, second statistic); in
-    a chunk of _box_scan, by (group, segment, second statistic, position),
-    with the first statistic's offset from the segment's anchor in place of
-    the first statistic.  values holds each statistic's sorted distinct
-    values when _members built the set, and rank each member's index in
-    them, so a sweep and a bisection rank the values once.  The cached
-    properties depend on the members alone, never on eps; subset builds a
-    new set, with its own."""
+    in one array sorted by (group, first statistic, second statistic,
+    candidate index); in a chunk of _box_scan, by (group, segment, second
+    statistic, position), with the first statistic's offset from the
+    segment's anchor in place of the first statistic.  values holds each
+    statistic's sorted distinct values when _members built the set, and
+    rank each member's index in them, so a sweep and a bisection rank the
+    values once.  The cached properties depend on the members alone, never
+    on eps; subset builds a new set, with its own."""
 
     n_groups: int
     group: np.ndarray
@@ -387,9 +387,12 @@ class _Members:
 
     @functools.cached_property
     def sparse(self) -> np.ndarray:
-        """sparse[k, i] = max(correct[i:i + 2**k]), -1 past the end."""
+        """sparse[k, i] = max(correct[i:i + 2**k]), -1 past the end, for
+        2**k up to the largest group's member count: no window crosses a
+        group's block."""
         n = len(self.correct)
-        sparse = np.full((max(n.bit_length(), 1), n), -1, dtype=np.int64)
+        rows = int(np.bincount(self.group).max()).bit_length()
+        sparse = np.full((rows, n), -1, dtype=np.int64)
         sparse[0] = self.correct
         for k in range(1, len(sparse)):
             half, m = 1 << (k - 1), n - (1 << k) + 1
@@ -397,8 +400,10 @@ class _Members:
         return sparse
 
     def subset(self, keep: np.ndarray) -> _Members:
-        return _Members(self.n_groups, self.group[keep], self.idx[keep], self.stats[:, keep],
-                        self.rank[:, keep], self.values, self.correct[keep])
+        """The members at the positions keep, in its order."""
+        return _Members(self.n_groups, self.group[keep], self.idx[keep],
+                        self.stats.take(keep, axis=1), self.rank.take(keep, axis=1), self.values,
+                        self.correct[keep])
 
 
 def _members(problem, stat_names) -> _Members:
@@ -410,18 +415,43 @@ def _members(problem, stat_names) -> _Members:
         parts.append((np.full(t.m, g), np.arange(t.m), problem.correct(g),
                       *(problem.stat(g, name) for name in stat_names)))
     group, idx, correct, *stats = map(np.concatenate, zip(*parts))
+    stats = np.stack(stats)
     keep = np.flatnonzero(~np.isnan(stats).any(axis=0))
-    keep = keep[np.lexsort((*(v[keep] for v in stats[::-1]), group[keep]))]
-    group, idx, stats, correct = group[keep], idx[keep], np.stack(stats)[:, keep], correct[keep]
+    group = group[keep]
     empty = np.flatnonzero(np.bincount(group, minlength=len(parts)) == 0)
     if len(empty):
         raise InfeasibleConstraintError(
             "tracked statistic is undefined for every candidate policy",
             blocking_group=problem.scored.group_names[empty[0]],
         )
-    values = [_distinct(v) for v in stats]
-    rank = np.stack([np.searchsorted(u, v) for u, v in zip(values, stats)])
-    return _Members(len(parts), group, idx, stats, rank, values, correct)
+    rank = np.empty((len(stats), len(keep)), dtype=np.int64)
+    values, key = [], group
+    for v, r in zip(stats.take(keep, axis=1), rank):
+        # Each group's values are a nearly ordered run, on which a stable
+        # sort takes about linear time when it ascends; falling values (a
+        # selection rate, tpr) are sorted reversed.  No rank depends on the
+        # order among equal values.  A rank counts the value changes before
+        # it in ascending order.
+        if v[0] <= v[-1]:
+            order = np.argsort(v, kind="stable")
+        else:
+            order = len(v) - 1 - np.argsort(v[::-1], kind="stable")
+        v = v[order]
+        change = np.empty(len(v), dtype=bool)
+        change[0] = False
+        np.not_equal(v[1:], v[:-1], out=change[1:])
+        r[order] = np.cumsum(change)
+        change[0] = True
+        values.append(v[change])
+        key = key * len(values[-1]) + r
+    # the order by (group, first statistic, second statistic), equal ones
+    # by candidate index: a lexsort's, from one stable sort of the ranks.
+    # The key stays below a layout's groups x K cells times the members.
+    order = np.argsort(key, kind="stable")
+    keep = keep[order]
+    # take along axis 1 gathers several times faster than [:, keep]
+    return _Members(len(parts), group[order], idx[keep], stats.take(keep, axis=1),
+                    rank.take(order, axis=1), values, correct[keep])
 
 
 def _distinct(v):
@@ -460,9 +490,13 @@ def _windows(members, s, ends):
 def _totals(members, L, R):
     """Each window's max correct over [L, R) (-1 when empty), one row per
     group, and each anchor's total (-1 when a window is empty)."""
+    n = len(members.correct)
     k = np.frexp(np.maximum(R - L, 1))[1] - 1
-    start = np.minimum(L, len(members.correct) - 1)
-    best = np.maximum(members.sparse[k, start], members.sparse[k, np.maximum(R - (1 << k), start)])
+    start = np.minimum(L, n - 1)
+    # flat gathers: sparse[k, i] is flat[k * n + i], and a pair of index
+    # arrays takes numpy's slower path
+    flat, row = members.sparse.ravel(), k * n
+    best = np.maximum(flat[row + start], flat[row + np.maximum(R - (1 << k), start)])
     best = np.where(R > L, best, -1)
     return best, np.where((best >= 0).all(axis=0), best.sum(axis=0), -1)
 
@@ -641,7 +675,7 @@ def _prune(members, ends):
             return members
         if not np.bincount(members.group[keep], minlength=members.n_groups).all():
             return None
-        members = members.subset(keep)
+        members = members.subset(np.flatnonzero(keep))
 
 
 def _min_disparity(members) -> float:
@@ -744,8 +778,8 @@ def _separable_sweep(problem, constraints):
 
     A minimum rate tau is the floor max(tau, the unconstrained pick's
     value) on the statistic.  A cap kappa is the floor -kappa on the
-    negated statistic, which a value v meets exactly when v <= kappa, and
-    no levelling-up floor: a cap may level a group down.
+    negated statistic (sign -1), which a value v meets exactly when
+    v <= kappa, and no levelling-up floor: a cap may level a group down.
     """
     stat = constraints[0].statistic
     cap = isinstance(constraints[0], MaximumRate)
@@ -756,10 +790,10 @@ def _separable_sweep(problem, constraints):
     for g in range(len(problem.tables)):
         vals = problem.stat(g, stat)
         if cap:
-            floors, vals = -levels, -vals
+            floors = -levels
         else:
             floors = np.fmax(levels, vals[problem.uncon[g]])  # fmax skips a NaN
-        passes.append(_separable_pass(problem, g, vals, floors))
+        passes.append(_separable_pass(problem, g, vals, floors, -1 if cap else 1))
     first = np.stack([p[0] for p in passes])
     specs, skipped = [], []
     for t, (constraint, bound) in enumerate(zip(constraints, bounds)):
@@ -773,18 +807,18 @@ def _separable_sweep(problem, constraints):
     return specs, skipped
 
 
-def _separable_pass(problem, g, vals, floors):
+def _separable_pass(problem, g, vals, floors, sign):
     """Group g's finalists, among its candidates with values vals, at every
-    floor in floors: (a finalist's index at each floor, -1 where no
-    candidate meets it; {floor's position: its finalists, ascending} where
-    there are several).
+    floor in floors, which a value v meets when sign * v >= floor: (a
+    finalist's index at each floor, -1 where no candidate meets it;
+    {floor's position: its finalists, ascending} where there are several).
 
     A finalist meets the floor and holds the most correct rows among the
     candidates that do.  A candidate holding fewer correct rows than the
     best at the highest floor is a finalist at no floor, so the pass keeps
     the rest of those meeting the lowest floor; at one floor, only the
-    finalists.  In descending order of vals they meet each floor in a
-    prefix, of length k by one binary search.  Over that order, the
+    finalists.  In descending order of sign * vals they meet each floor in
+    a prefix, of length k by one binary search.  Over that order, the
     running maximum best of the correct count and the count reach of the
     positions holding their running maximum answer every floor: the
     prefix's best count is best[k - 1], a finalist is where best first
@@ -792,15 +826,20 @@ def _separable_pass(problem, g, vals, floors):
     grows past that position.
     """
     correct = problem.correct(g)
-    least = np.where(vals >= floors.max(), correct, -1).max()
-    idx = np.flatnonzero((vals >= floors.min()) & (correct >= least))  # a NaN meets no floor
+    # v >= f, or v <= -f for a cap, with no negated copy of vals; a NaN
+    # meets no floor, and one floor is compared once
+    meet = np.greater_equal if sign > 0 else np.less_equal
+    lowest, highest = floors.min(), floors.max()
+    meets = meet(vals, sign * lowest)
+    least = np.where(meets if highest == lowest else meet(vals, sign * highest), correct, -1).max()
+    idx = np.flatnonzero(meets & (correct >= least))
     if not len(idx):
         return np.full(len(floors), -1), {}
-    # No answer depends on the order among equal values, so where vals
-    # rise along the candidates (tnr, mostly precision, a negated
+    # No answer depends on the order among equal values, so where sign *
+    # vals rise along the candidates (tnr, mostly precision, a capped
     # selection rate) they are taken reversed: the stable sort then runs in
     # about linear time on these nearly ordered values.
-    key = -vals[idx]
+    key = -sign * vals[idx]
     if key[0] > key[-1]:
         idx, key = idx[::-1], key[::-1]
     order = np.argsort(key, kind="stable")

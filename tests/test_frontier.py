@@ -387,8 +387,8 @@ class TestMrcFrontier:
                 floor = None if cap else vals[correct.index(max(correct))]
                 taus = np.union1d(sign * np.linspace(0.0, 1.0, 23), [] if floor is None else [floor])
                 first, ties = policy_module._separable_pass(
-                    problem, g, sign * problem.stat(g, stat),
-                    taus if floor is None else np.maximum(taus, floor))
+                    problem, g, problem.stat(g, stat),
+                    taus if floor is None else np.maximum(taus, floor), sign)
                 for t, tau in enumerate(taus):
                     need = tau if floor is None else max(tau, floor)
                     feasible = [i for i, v in enumerate(vals) if v is not None and v >= need]

@@ -262,3 +262,59 @@ def test_frontier_equals_fresh_enforces(name, measure):
     accuracy = [r.accuracy for _, r in fresh]
     assert accuracy == sorted(accuracy)
     assert all(disparity(r.metrics, measure) <= eps for eps, r in fresh)
+
+
+def many_small_groups():
+    """64 groups of 8 to 120 rows (seed 5), drawn as arrays() draws them,
+    base rates cycling through BASE_RATES; a group drawn without a
+    positive gets its highest-scored row as one, so every group has both
+    labels."""
+    sizes = np.random.default_rng(5).integers(8, 121, 64)
+    spec = SynthSpec(
+        groups=tuple(
+            GroupSpec(size=int(n), positive_base_rate=BASE_RATES[g % 8], score_mean_pos=0.8,
+                      score_mean_neg=0.3, score_spread=0.25, name=f"g{g}")
+            for g, n in enumerate(sizes)
+        ),
+        seed=5,
+    )
+    out = synth_generate(spec)
+    scores, labels, groups = out.true_scores, out.dataset.labels.copy(), out.dataset.groups
+    for g in range(64):
+        rows = np.flatnonzero(groups == g)
+        if not labels[rows].any():
+            labels[rows[np.argmax(scores[rows])]] = 1
+        assert not labels[rows].all()
+    return scores, labels, groups, out.dataset.group_names
+
+
+MANY_GROUPS = {
+    "Equality dp 0.02": Equality(DP, 0.02),
+    "Equality eo 0.05": Equality(FairnessMeasure.EQUAL_OPPORTUNITY, 0.05),
+}
+
+
+def test_many_small_groups_under_shuffle_and_repetition():
+    scores, labels, groups, names = many_small_groups()
+    scored = scored_from_arrays(scores, labels, groups, names)
+    order = np.random.default_rng(5).permutation(len(scores))
+    shuffled = scored_from_arrays(scores[order], labels[order], groups[order], names)
+    tripled = scored_from_arrays(np.repeat(scores, 3), np.repeat(labels, 3),
+                                 np.repeat(groups, 3), names)
+    for name, c in MANY_GROUPS.items():
+        base = enforce(scored, c)
+        assert enforce(shuffled, c) == base, name
+        got = enforce(tripled, c)
+        assert (got.policy.thresholds, got.accuracy) == \
+            (base.policy.thresholds, base.accuracy), name
+
+
+def test_many_small_groups_name_the_group_without_positives():
+    scores, labels, groups, names = many_small_groups()
+    labels[groups == 37] = 0
+    scored = scored_from_arrays(scores, labels, groups, names)
+    with pytest.raises(InfeasibleConstraintError) as info:
+        enforce(scored, MANY_GROUPS["Equality eo 0.05"])
+    assert info.value.blocking_group == "g37"
+    # dp reads no positive count, so the set stays feasible for it
+    enforce(scored, MANY_GROUPS["Equality dp 0.02"])

@@ -685,6 +685,100 @@ class TestWindowLayouts:
             assert len(built["layouts"]) == 1
 
 
+class TestMemberSort:
+    """_members orders and ranks the members by stable sorts of the
+    statistics and of the integer (group, ranks) key; every field equals
+    the member set a lexsort, np.unique and np.searchsorted build.  The
+    sparse table keeps the rows the largest group's windows need."""
+
+    MEASURES = [DP, EO, PP, ODDS, CUAE]
+
+    @staticmethod
+    def reference(problem, stat_names):
+        """The member set built by lexsort, np.unique and searchsorted."""
+        parts = [(np.full(t.m, g), np.arange(t.m), problem.correct(g),
+                  *(problem.stat(g, name) for name in stat_names))
+                 for g, t in enumerate(problem.tables)]
+        group, idx, correct, *stats = map(np.concatenate, zip(*parts))
+        keep = np.flatnonzero(~np.isnan(stats).any(axis=0))
+        keep = keep[np.lexsort((*(v[keep] for v in stats[::-1]), group[keep]))]
+        group, idx, stats, correct = group[keep], idx[keep], np.stack(stats)[:, keep], correct[keep]
+        empty = np.flatnonzero(np.bincount(group, minlength=len(parts)) == 0)
+        if len(empty):
+            raise InfeasibleConstraintError(
+                "tracked statistic is undefined for every candidate policy",
+                blocking_group=problem.scored.group_names[empty[0]])
+        values = [np.unique(v) for v in stats]
+        rank = np.stack([np.searchsorted(u, v) for u, v in zip(values, stats)])
+        return policy_module._Members(len(parts), group, idx, stats, rank, values, correct)
+
+    @staticmethod
+    def random_sets(seed, count):
+        """count sets of 2 to 128 groups of 1 to 300 rows, scores rounded
+        to 1 to 3 decimals.  In every other set some groups may lack
+        positives or negatives; in the rest every group has both."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            G = int(rng.integers(2, 129))
+            both = i % 2 == 0
+            sizes = rng.integers(2 if both else 1, rng.integers(3, 301), G, endpoint=True)
+            scores = np.round(rng.random(sizes.sum()), int(rng.integers(1, 4)))
+            rates = rng.random(G)
+            labels = (rng.random(sizes.sum()) < np.repeat(rates, sizes)).astype(np.int64)
+            starts = np.cumsum(sizes) - sizes
+            if both:
+                labels[starts], labels[starts + 1] = 1, 0
+            groups = np.repeat(np.arange(G), sizes)
+            yield scored_from_arrays(scores, labels, groups, tuple(f"g{g}" for g in range(G)))
+
+    def test_members_equal_the_lexsort_reference(self):
+        built = raised = 0
+        for scored in self.random_sets(61, 24):
+            problem = policy_module._Problem(scored)
+            for measure in self.MEASURES:
+                names = tracked_statistics(measure)
+                try:
+                    want = self.reference(problem, names)
+                except InfeasibleConstraintError as exc:
+                    with pytest.raises(InfeasibleConstraintError) as info:
+                        policy_module._members(problem, names)
+                    assert str(info.value) == str(exc)
+                    assert info.value.blocking_group == exc.blocking_group
+                    raised += 1
+                    continue
+                got = policy_module._members(problem, names)
+                built += 1
+                assert got.n_groups == want.n_groups
+                for field in ("group", "idx", "stats", "rank", "correct"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.shape == b.shape, field
+                    assert (a == b).all(), field
+                assert len(got.values) == len(want.values)
+                for a, b in zip(got.values, want.values):
+                    assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+        assert built >= 60 and raised >= 20
+
+    def test_totals_equal_a_direct_max_over_every_window(self):
+        windows = largest = 0
+        for scored in self.random_sets(67, 16):
+            members = members_or_none(scored, DP)
+            sizes = np.bincount(members.group)
+            largest = max(largest, sizes.max())
+            assert len(members.sparse) == int(sizes.max()).bit_length()
+            # every window [l, r) inside a group's block, the empty ones too
+            for start, n in zip(np.cumsum(sizes) - sizes, sizes):
+                correct = members.correct[start:start + n]
+                l, r = np.triu_indices(n + 1)
+                # running[l, r - 1] = max(correct[l:r])
+                running = np.maximum.accumulate(
+                    np.where(np.triu(np.ones((n, n), dtype=bool)), correct, -1), axis=1)
+                want = np.where(r > l, running[np.minimum(l, n - 1), np.maximum(r - 1, 0)], -1)
+                best, _ = policy_module._totals(members, start + l[None, :], start + r[None, :])
+                np.testing.assert_array_equal(best[0], want)
+                windows += len(l)
+        assert windows >= 1_000_000 and largest >= 128
+
+
 class TestScanWithoutPrune:
     """The two-statistic window search scans the whole member set.  _prune
     only drops members no feasible combination uses, so the scan over its
