@@ -89,6 +89,42 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _numbers(values, message: str) -> np.ndarray:
+    """values as an array of integers or booleans, as given, or else of
+    float64; a DataError with message when they are not numbers."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return values
+    try:
+        return values.astype(np.float64)
+    except (TypeError, ValueError):
+        raise DataError(message) from None
+
+
+def _labels_and_groups(labels, groups, group_names) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and group ids as read-only int64 arrays, after the checks
+    LabeledDataset and ScoredDataset share: every label is 0 or 1, at least
+    two group names and no name repeated, and every group id a whole number
+    in [0, len(group_names)).  Integer and boolean arrays are checked as
+    they are, and int64 ones are not copied; other arrays are read as
+    float64, so a label 0.5 or a group id 1.7 is an error, not truncated."""
+    labels = _numbers(labels, "labels must be 0 or 1")
+    groups = _numbers(groups, "group ids must be whole numbers")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise DataError("labels must be 0 or 1")
+    if len(group_names) < 2:
+        raise DataError("fewer than 2 groups named")
+    if len(set(group_names)) < len(group_names):
+        name = next(n for k, n in enumerate(group_names) if n in group_names[:k])
+        raise DataError(f"group name {name!r} is repeated")
+    if groups.dtype.kind == "f" and not np.all(groups == np.trunc(groups)):
+        raise DataError("group ids must be whole numbers")
+    if groups.min() < 0 or groups.max() >= len(group_names):
+        raise DataError("group id out of range")
+    return (_frozen(labels.astype(np.int64, copy=False)),
+            _frozen(groups.astype(np.int64, copy=False)))
+
+
 @dataclass(frozen=True)
 class CsvSchema:
     """Column roles for ``load_csv``.
@@ -118,8 +154,8 @@ class LabeledDataset:
     """Feature matrix plus binary labels and dense group ids.
 
     Invariants checked on construction: features is 2-D float, labels are
-    0/1, group ids are dense in [0, len(group_names)), and at least two
-    distinct groups are present.
+    0/1, group ids are dense in [0, len(group_names)), group names are
+    distinct, and at least two distinct groups are present.
     """
 
     features: np.ndarray
@@ -130,13 +166,9 @@ class LabeledDataset:
 
     def __post_init__(self):
         feats = _frozen(np.asarray(self.features, dtype=np.float64))
-        labels = _frozen(np.asarray(self.labels, dtype=np.int64))
-        groups = _frozen(np.asarray(self.groups, dtype=np.int64))
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "groups", groups)
-        n = len(labels)
-        if feats.ndim != 2 or feats.shape[0] != n or len(groups) != n:
+        n = len(self.labels)
+        if feats.ndim != 2 or feats.shape[0] != n or len(self.groups) != n:
             raise DataError("features, labels, groups must share row count")
         if feats.shape[1] != len(self.feature_names):
             raise DataError("feature_names length must match feature columns")
@@ -144,12 +176,9 @@ class LabeledDataset:
             raise DataError("dataset is empty")
         if not np.all(np.isfinite(feats)):
             raise DataError("non-finite feature value")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise DataError("labels must be 0 or 1")
-        if len(self.group_names) < 2:
-            raise DataError("fewer than 2 groups named")
-        if groups.min() < 0 or groups.max() >= len(self.group_names):
-            raise DataError("group id out of range")
+        labels, groups = _labels_and_groups(self.labels, self.groups, self.group_names)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "groups", groups)
         if groups.min() == groups.max():
             raise DataError("fewer than 2 distinct groups present")
 

@@ -13,7 +13,9 @@ equal on both coordinates survive together.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,42 +86,31 @@ class FrontierResult:
 def pareto_prune(
     points: list[FrontierPoint], direction: str = "min"
 ) -> list[FrontierPoint]:
-    """Non-dominated subset, sorted by objective value (ascending).
+    """Non-dominated subset, best objective value first.
 
     Single sorted sweep rather than the quadratic pairwise scan; the two
-    agree, which the test suite checks against a brute-force oracle.
+    agree, which the test suite checks against a brute-force oracle.  A
+    NaN objective value or accuracy is a DataError naming the point.
     """
     if direction not in ("min", "max"):
         raise DataError("direction must be 'min' or 'max'")
-    if not points:
-        return []
+    for k, p in enumerate(points):
+        for what, value in (("objective value", p.objective_value), ("accuracy", p.accuracy)):
+            if math.isnan(value):
+                raise DataError(f"point {k} has a NaN {what}")
     sign = 1.0 if direction == "min" else -1.0
-    order = sorted(
-        range(len(points)),
-        key=lambda i: (sign * points[i].objective_value, -points[i].accuracy),
-    )
-    keep: list[int] = []
-    best_prior_acc = -np.inf  # over strictly better objectives
-    i = 0
-    while i < len(order):
-        j = i
-        tie_obj = points[order[i]].objective_value
-        group = []
-        while j < len(order) and points[order[j]].objective_value == tie_obj:
-            group.append(order[j])
-            j += 1
-        top_acc = max(points[k].accuracy for k in group)
-        for k in group:
-            acc = points[k].accuracy
-            if acc <= best_prior_acc:
-                continue  # dominated from a strictly better objective
-            if acc < top_acc:
-                continue  # dominated within the tie group
-            keep.append(k)
-        best_prior_acc = max(best_prior_acc, top_acc)
-        i = j
-    keep.sort(key=lambda k: (sign * points[k].objective_value, points[k].accuracy))
-    return [points[k] for k in keep]
+    ordered = sorted(points, key=lambda p: (sign * p.objective_value, -p.accuracy))
+    keep: list[FrontierPoint] = []
+    best_prior_acc = -math.inf  # over strictly better objectives
+    for _, tied in itertools.groupby(ordered, key=lambda p: p.objective_value):
+        tied = list(tied)
+        # the tie group's most accurate points, unless a strictly better
+        # objective is at least as accurate
+        top_acc = tied[0].accuracy
+        if top_acc > best_prior_acc:
+            keep.extend(p for p in tied if p.accuracy == top_acc)
+            best_prior_acc = top_acc
+    return keep
 
 
 def _point(result: EnforcementResult, objective_value: float,

@@ -750,8 +750,8 @@ def _tie_break(problem, finalist_sets, stat):
 
 
 def _unreachable(problem, constraint, g) -> InfeasibleConstraintError:
-    """The error of a MinimumRate or MaximumRate constraint that group g
-    meets at no candidate."""
+    """The error of a MinimumRate constraint that group g meets at no
+    candidate.  A cap always has one: reject-all selects no row."""
     stat = constraint.statistic
     name = problem.scored.group_names[g]
     vals = problem.stat(g, stat)
@@ -760,13 +760,9 @@ def _unreachable(problem, constraint, g) -> InfeasibleConstraintError:
             f"{stat} is undefined for every candidate threshold of group {name!r}",
             blocking_group=name,
         )
-    if isinstance(constraint, MinimumRate):
-        word, bound, best = "minimum", constraint.tau, np.nanmax(vals)
-    else:
-        word, bound, best = "maximum", constraint.kappa, np.nanmin(vals)
     return InfeasibleConstraintError(
-        f"{word} {stat} {bound} is unreachable for group {name!r}; "
-        f"best achievable is {float(best):.6g}",
+        f"minimum {stat} {constraint.tau} is unreachable for group {name!r}; "
+        f"best achievable is {float(np.nanmax(vals)):.6g}",
         blocking_group=name,
     )
 
@@ -970,25 +966,22 @@ class _EqualitySearch:
         self.min_disparity = None
         self.last = None  # (epsilon, d, picks) of the last search that found picks
 
-    def picks(self, eps):
-        if self.last is not None and self.last[0] >= eps and self.last[1] <= eps:
-            return self.last[2]
-        if self.min_disparity is None or eps >= self.min_disparity:
-            top, d, picks = _window_search(self.members, eps)
-            if top >= 0:
-                self.last = (eps, d, picks)
-                return picks
-            if self.min_disparity is None:
-                self.min_disparity = _min_disparity(self.members)
-        raise InfeasibleConstraintError(
-            f"no candidate policy reaches disparity <= {eps}; "
-            f"minimum achievable disparity is {self.min_disparity:.6g}"
-        )
-
     def choose(self, eps):
         """_choose() for Equality(measure, eps)."""
+        if self.last is None or self.last[0] < eps or self.last[1] > eps:
+            top = -1
+            if self.min_disparity is None or eps >= self.min_disparity:
+                top, d, picks = _window_search(self.members, eps)
+            if top < 0:
+                if self.min_disparity is None:
+                    self.min_disparity = _min_disparity(self.members)
+                raise InfeasibleConstraintError(
+                    f"no candidate policy reaches disparity <= {eps}; "
+                    f"minimum achievable disparity is {self.min_disparity:.6g}"
+                )
+            self.last = (eps, d, picks)
         params = {"measure": self.measure.value, "epsilon": eps}
-        return self.picks(eps), "equality", params, "exact-grid", ""
+        return self.last[2], "equality", params, "exact-grid", ""
 
 
 # ---------------------------------------------------------------------------
@@ -1000,12 +993,9 @@ def _level_single_group(vals, start_idx, target):
     Candidates are ranked by distance from the starting candidate, the
     lower threshold first on equal distance.  Falls back to the first
     candidate in that order holding the best achievable value when the
-    target is unreachable; the second return flags that case.
+    target is unreachable; the second return flags that case.  At least
+    one value must be defined.
     """
-    defined = ~np.isnan(vals)
-    if not defined.any():
-        return start_idx, True
-
     def nearest(mask):
         # the first True on each side of the start, the lower one on a tie
         up, down = mask[start_idx:], mask[start_idx::-1]
@@ -1018,41 +1008,31 @@ def _level_single_group(vals, start_idx, target):
     reach = vals >= target  # NaN compares false
     if reach.any():
         return nearest(reach), False
-    return nearest(defined & (vals == np.nanmax(vals))), True
+    return nearest(vals == np.nanmax(vals)), True  # NaN compares false
 
 
-def _check_level_up_stat(measure_or_stat, problem):
-    """The statistic to level and its values at the unconstrained picks;
-    a DataError when levelling up cannot use it."""
-    if isinstance(measure_or_stat, FairnessMeasure):
-        names = tracked_statistics(measure_or_stat)
-        if len(names) != 1:
-            raise DataError(
-                f"{measure_or_stat.value} tracks more than one statistic; "
-                "levelling up needs a single target statistic"
-            )
-        stat = names[0]
-        direction = M.STATISTIC_DIRECTIONS[stat]
-        if direction not in ("higher", "bidirectional"):
-            raise DataError(
-                f"no defensible level-up direction for {stat!r}"
-            )
-    else:
-        stat = measure_or_stat
-        if stat not in MIN_RATE_STATISTICS:
-            raise DataError(
-                f"level-up statistic must be one of {MIN_RATE_STATISTICS}"
-            )
-    for g in range(len(problem.tables)):
-        if np.all(np.isnan(problem.stat(g, stat))):
-            raise DataError(
-                f"{stat} is undefined for every threshold of group "
-                f"{problem.scored.group_names[g]!r}"
-            )
-    uncon_vals = _metrics(problem, _cells(problem, problem.uncon)).values(stat)
-    if None in uncon_vals:
-        raise DataError(f"{stat} undefined under the unconstrained policy")
-    return stat, uncon_vals
+def _baseline(problem, stat) -> list[float]:
+    """Each group's stat at its unconstrained pick; a DataError naming the
+    first group where it is undefined."""
+    values = [float(problem.stat(g, stat)[p]) for g, p in enumerate(problem.uncon)]
+    for name, value in zip(problem.scored.group_names, values):
+        if math.isnan(value):
+            raise DataError(f"{stat} is undefined for group {name!r} under the "
+                            "unconstrained policy")
+    return values
+
+
+def _walk(problem, stat, targets):
+    """Each group's pick walked from its unconstrained pick to its target
+    in targets by _level_single_group, or kept where the target is None,
+    and the groups whose target the grid misses."""
+    picks, missed = list(problem.uncon), []
+    for g, target in enumerate(targets):
+        if target is not None:
+            picks[g], miss = _level_single_group(problem.stat(g, stat), picks[g], target)
+            if miss:
+                missed.append(g)
+    return tuple(picks), missed
 
 
 def partial_level_up(
@@ -1071,25 +1051,24 @@ def partial_level_up(
     group is ever moved backwards.
     """
     problem = _Problem(scored)
-    stat, uncon_vals = _check_level_up_stat(measure, problem)
-    constraint = Equality(measure, epsilon)
-    uncon = problem.uncon
-    top = max(uncon_vals)
-    if all(v == top for v in uncon_vals):
-        picks = uncon
+    names = tracked_statistics(measure)
+    if len(names) != 1:
+        raise DataError(
+            f"{measure.value} tracks more than one statistic; "
+            "levelling up needs a single target statistic"
+        )
+    stat, constraint = names[0], Equality(measure, epsilon)
+    values = _baseline(problem, stat)
+    top = max(values)
+    if all(v == top for v in values):
+        picks = problem.uncon
         note = "all groups already level; unconstrained policy returned"
     else:
-        eq_picks = _EqualitySearch(problem, constraint).picks(epsilon)
-        picks = list(uncon)
-        residual = False
-        for g in range(len(uncon)):
-            if uncon_vals[g] == top:
-                continue
-            target = max(float(problem.stat(g, stat)[eq_picks[g]]), uncon_vals[g])
-            picks[g], missed = _level_single_group(problem.stat(g, stat), uncon[g], target)
-            residual = residual or missed
-        picks = tuple(picks)
-        note = "target level unreachable on the grid for some group" if residual else ""
+        eq_picks = _choose(problem, constraint)[0]
+        picks, missed = _walk(problem, stat, [
+            None if v == top else max(float(problem.stat(g, stat)[p]), v)
+            for g, (v, p) in enumerate(zip(values, eq_picks))])
+        note = "target level unreachable on the grid for some group" if missed else ""
     return _finish(problem, [(
         picks, "partial_level_up",
         {"measure": measure.value, "epsilon": epsilon, "statistic": stat},
@@ -1106,20 +1085,16 @@ def full_level_up(scored: ScoredDataset, statistic: str) -> EnforcementResult:
     residual gap is recorded in the provenance note.
     """
     problem = _Problem(scored)
-    stat, uncon_vals = _check_level_up_stat(statistic, problem)
-    target = max(uncon_vals)
-    picks = list(problem.uncon)
-    gaps = []
-    for g, value in enumerate(uncon_vals):
-        if value == target:
-            continue
-        picks[g], missed = _level_single_group(problem.stat(g, stat), problem.uncon[g], target)
-        if missed:
-            achieved = float(problem.stat(g, stat)[picks[g]])
-            gaps.append(f"{scored.group_names[g]}: residual gap {target - achieved:.6g}")
+    if statistic not in MIN_RATE_STATISTICS:
+        raise DataError(f"level-up statistic must be one of {MIN_RATE_STATISTICS}")
+    values = _baseline(problem, statistic)
+    target = max(values)
+    picks, missed = _walk(problem, statistic, [None if v == target else target for v in values])
+    gaps = [f"{scored.group_names[g]}: residual gap "
+            f"{target - float(problem.stat(g, statistic)[picks[g]]):.6g}" for g in missed]
     return _finish(problem, [(
         picks, "full_level_up",
-        {"statistic": stat, "target": target},
+        {"statistic": statistic, "target": target},
         "grid-walk", "; ".join(gaps),
     )])[0]
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, LabeledDataset, _frozen, _utf8
+from .data import DataError, LabeledDataset, _frozen, _labels_and_groups, _utf8
 
 __all__ = [
     "SCORE_CLAMP",
@@ -56,22 +56,15 @@ class ScoredDataset:
 
     def __post_init__(self):
         scores = _frozen(np.asarray(self.scores, dtype=np.float64))
-        labels = _frozen(np.asarray(self.labels, dtype=np.int64))
-        groups = _frozen(np.asarray(self.groups, dtype=np.int64))
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "groups", groups)
         n = len(scores)
-        if len(labels) != n or len(groups) != n or n == 0:
+        if len(self.labels) != n or len(self.groups) != n or n == 0:
             raise DataError("scores, labels, groups must share a nonzero row count")
         if not np.all((scores > 0.0) & (scores < 1.0)):
             raise DataError("scores must lie strictly inside (0, 1) after clamping")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise DataError("labels must be 0 or 1")
-        if len(self.group_names) < 2:
-            raise DataError("fewer than 2 groups named")
-        if groups.min() < 0 or groups.max() >= len(self.group_names):
-            raise DataError("group id out of range")
+        labels, groups = _labels_and_groups(self.labels, self.groups, self.group_names)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n_rows(self) -> int:

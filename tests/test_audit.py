@@ -7,6 +7,7 @@ from levelup import (
     DataError,
     Equality,
     FairnessMeasure,
+    GroupMetrics,
     MinimumRate,
     Unconstrained,
     build_report,
@@ -104,6 +105,19 @@ class TestDetect:
         with pytest.raises(DataError, match="tolerance"):
             build_report(base.metrics, dp.metrics, {}, split="eval",
                          tolerance=float("nan"))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda base, after: build_report(
+        base, GroupMetrics(stats=after.stats, group_names=("a", "c")), {}, split="eval"),
+     "baseline and constrained metrics name different groups"),
+    (lambda base, after: build_report(base, after, {}, split="eval", tolerance=float("nan")),
+     "tolerance must be a finite number >= 0, got nan"),
+], ids=["different-groups", "nan-tolerance"])
+def test_build_report_input_errors(gap_pair, make, message):
+    base, dp = gap_pair
+    with pytest.raises(DataError, match=message):
+        make(base.metrics, dp.metrics)
 
 
 @pytest.fixture(scope="module")

@@ -427,6 +427,66 @@ class TestConfigResolution:
         assert (target / "dataset.csv").exists()
 
 
+@pytest.fixture
+def input_files(tmp_path, scores_path, spec_path):
+    """Paths of the files the input-error cases name."""
+    bad_spec = dict(SYNTH_SPEC, groups=[dict(g) for g in SYNTH_SPEC["groups"]])
+    del bad_spec["groups"][1]["score_spread"]
+    files = {"scores": scores_path, "spec": spec_path, "out": tmp_path / "out",
+             "list_config": tmp_path / "list.json", "bad_spec": tmp_path / "bad_spec.json",
+             "empty_data": tmp_path / "empty.csv", "missing": tmp_path / "missing.json"}
+    files["list_config"].write_text('["seed", 3]')
+    files["bad_spec"].write_text(json.dumps(bad_spec))
+    files["empty_data"].write_text("")
+    return files
+
+
+@pytest.mark.parametrize("args, code, message", [
+    ("enforce --config {list_config} --scores {scores} --constraint none", 2,
+     "usage error: config must be a flat JSON object"),
+    ("enforce --config {missing} --scores {scores} --constraint none", 3,
+     "data error: cannot open config {missing}: No such file or directory"),
+    ("synth --synth-spec {bad_spec}", 3,
+     "data error: malformed synth spec: KeyError('score_spread')"),
+    ("train --data {empty_data}", 2, "usage error: --label-col is required with --data"),
+    ("train --data {empty_data} --label-col y --positive-label 1 --group-col g", 3,
+     "data error: {empty_data} has no header row"),
+    ("enforce --scores {scores} --constraint min-rate --stat tpr", 2,
+     "usage error: min-rate needs --stat and --tau"),
+    ("enforce --scores {scores} --constraint max-rate", 2,
+     "usage error: max-rate needs --kappa"),
+    ("enforce --scores {scores} --constraint eo", 2,
+     "usage error: equality constraints need --epsilon"),
+    ("frontier --scores {scores} --mode equality", 2,
+     "usage error: equality frontier needs --measure"),
+    ("frontier --scores {scores} --mode min-rate", 2,
+     "usage error: min-rate frontier needs --stat"),
+    ("audit --policy {missing}", 2, "usage error: audit needs --scores"),
+], ids=["config-list", "config-missing", "synth-spec-key", "data-without-label-col",
+        "data-empty", "min-rate-without-tau", "max-rate-without-kappa",
+        "equality-without-epsilon", "equality-frontier-without-measure",
+        "min-rate-frontier-without-stat", "audit-without-scores"])
+def test_input_errors(input_files, capsys, args, code, message):
+    argv = [a.format(**input_files) for a in args.split()] + ["--out", str(input_files["out"])]
+    assert main(argv) == code
+    assert capsys.readouterr().err == message.format(**input_files) + "\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["synth"], ["enforce", "--constraint", "dp", "--epsilon", "0.02"],
+], ids=["synth", "enforce"])
+def test_repeated_group_name_in_synth_spec_is_data_error(tmp_path, capsys, command):
+    # the outputs are keyed by group name, so two groups named "a" would
+    # merge into one threshold and one metrics entry
+    spec = dict(SYNTH_SPEC, groups=[*SYNTH_SPEC["groups"], SYNTH_SPEC["groups"][0]])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main([command[0], "--synth-spec", str(path), *command[1:], "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "data error: group name 'a' is repeated\n"
+    assert not (out / "policy.json").exists() and not (out / "scores.csv").exists()
+
+
 class TestParser:
     def test_unknown_subcommand(self, capsys):
         assert main(["explode"]) == 2

@@ -293,3 +293,84 @@ class TestBundledSample:
         schema = adult_sample_schema(include_group_as_feature=True)
         ds = load_csv(adult_sample_path(), schema)
         assert any(name.startswith("sex=") for name in ds.feature_names)
+
+
+def labeled(features=((0.0,), (1.0,)), labels=(0, 1), groups=(0, 1),
+            group_names=("a", "b"), feature_names=("x",)):
+    return LabeledDataset(features=np.asarray(features), labels=np.asarray(labels),
+                          groups=np.asarray(groups), group_names=group_names,
+                          feature_names=feature_names)
+
+
+def csv_file(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return path
+
+
+SCHEMA = CsvSchema(label_column="y", positive_label_value="1", group_column="g",
+                   feature_columns=("x",))
+
+
+def group_spec(size=10, spread=0.2):
+    return GroupSpec(size=size, positive_base_rate=0.5, score_mean_pos=0.7,
+                     score_mean_neg=0.3, score_spread=spread)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda _: CsvSchema("y", "1", "g", ()), "schema needs at least one feature column"),
+    (lambda _: CsvSchema("y", "1", "g", ("x", "y")),
+     "column 'y' cannot be both feature and label"),
+    (lambda _: CsvSchema("y", "1", "y", ("x",)), "label column and group column must differ"),
+    (lambda _: labeled(labels=(0, 1, 1)), "features, labels, groups must share row count"),
+    (lambda _: labeled(groups=(0,)), "features, labels, groups must share row count"),
+    (lambda _: labeled(features=((0.0, 1.0), (1.0, 0.0))),
+     "feature_names length must match feature columns"),
+    (lambda _: labeled(features=np.empty((0, 1)), labels=(), groups=()), "dataset is empty"),
+    (lambda _: labeled(labels=(0, 0.5)), "labels must be 0 or 1"),
+    (lambda _: labeled(labels=(0.9, 1.0)), "labels must be 0 or 1"),
+    (lambda _: labeled(group_names=("a",)), "fewer than 2 groups named"),
+    (lambda _: labeled(group_names=("a", "a")), "group name 'a' is repeated"),
+    (lambda _: labeled(group_names=("a", "b", "a")), "group name 'a' is repeated"),
+    (lambda _: labeled(groups=(0, 1.7)), "group ids must be whole numbers"),
+    (lambda _: labeled(groups=(0, np.nan)), "group ids must be whole numbers"),
+    (lambda _: labeled(groups=(0, 2)), "group id out of range"),
+    (lambda _: labeled(groups=(0, -1)), "group id out of range"),
+    (lambda _: labeled(groups=(1, 1)), "fewer than 2 distinct groups present"),
+    (lambda tmp: load_csv(tmp / "missing.csv", SCHEMA), "cannot open .*missing.csv"),
+    (lambda tmp: load_csv(csv_file(tmp, ""), SCHEMA), "data.csv has no header row"),
+    (lambda tmp: load_csv(csv_file(tmp, "x,y,g\n"), SCHEMA),
+     "data.csv has a header but no data rows"),
+    (lambda tmp: load_csv(csv_file(tmp, "x,y,g\n0.1,1,a\n0.2,0,a\n"), SCHEMA),
+     "fewer than 2 groups present in column 'g'"),
+    (lambda _: group_spec(size=0), "group size must be >= 1"),
+    (lambda _: group_spec(spread=0.0), "score_spread must be positive"),
+], ids=[
+    "schema-no-features", "schema-label-is-feature", "schema-label-is-group",
+    "labels-rows", "groups-rows", "feature-names", "empty", "label-half", "label-fraction",
+    "one-name", "repeated-name", "repeated-name-later", "fractional-group", "nan-group",
+    "group-too-large", "group-negative", "one-group-present", "csv-missing",
+    "csv-no-header", "csv-header-only", "csv-one-group", "spec-size-0", "spec-spread-0",
+])
+def test_input_errors(tmp_path, make, message):
+    with pytest.raises(DataError, match=message):
+        make(tmp_path)
+
+
+def test_int64_labels_and_groups_are_kept_without_a_copy():
+    # a bool array is cast to int64, and a float array of whole numbers
+    # is read exactly
+    labels, groups = np.array([0, 1, 1]), np.array([0, 1, 1])
+    ds = labeled(features=((0.0,), (1.0,), (2.0,)), labels=labels, groups=groups)
+    assert ds.labels is labels and ds.groups is groups
+    ds = labeled(labels=np.array([False, True]), groups=np.array([0.0, 1.0]))
+    assert ds.labels.dtype == ds.groups.dtype == np.int64
+    assert ds.labels.tolist() == [0, 1] and ds.groups.tolist() == [0, 1]
+
+
+def test_synth_spec_with_a_repeated_group_name_is_rejected():
+    spec = SynthSpec(groups=(GroupSpec(10, 0.5, 0.7, 0.3, 0.2, "a"),
+                             GroupSpec(10, 0.5, 0.7, 0.3, 0.2, "b"),
+                             GroupSpec(10, 0.5, 0.7, 0.3, 0.2, "a")), seed=0)
+    with pytest.raises(DataError, match="group name 'a' is repeated"):
+        synth_generate(spec)

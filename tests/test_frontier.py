@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,18 @@ class TestParetoPrune:
     def test_direction_validated(self):
         with pytest.raises(DataError):
             pareto_prune([], "down")
+
+    @pytest.mark.parametrize("field", ["objective_value", "accuracy"])
+    @pytest.mark.parametrize("direction", ["min", "max"])
+    def test_a_nan_is_an_error_naming_the_point(self, field, direction):
+        # a NaN objective once left its tie group empty, and a NaN
+        # accuracy was kept or dropped by the order of the points
+        pts = cloud(np.random.default_rng(10), 6)
+        pts[3] = replace(pts[3], **{field: float("nan")})
+        what = field.replace("_", " ")
+        for points, k in ((pts, 3), (pts[::-1], 2)):
+            with pytest.raises(DataError, match=f"^point {k} has a NaN {what}$"):
+                pareto_prune(points, direction)
 
     def test_empty_input(self):
         assert pareto_prune([], "min") == []
@@ -505,6 +519,14 @@ class TestSerialization:
         with pytest.raises(DataError) as info:
             frontier_from_jsonl(path)
         assert str(info.value).startswith(f"{path} {where}: {message}")
+
+    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank-lines"])
+    def test_empty_file_is_data_error(self, tmp_path, text):
+        path = tmp_path / "frontier.jsonl"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            frontier_from_jsonl(path)
+        assert str(info.value) == f"{path} is empty"
 
     def test_malformed_point_policy_names_the_line(self, gap_scored, tmp_path):
         path = tmp_path / "frontier.jsonl"

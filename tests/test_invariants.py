@@ -17,7 +17,10 @@ Every base result, the 50-point dp and eodds equality frontiers on
 rows are pinned by the SHA-256 of repr((thresholds, accuracy)), as are
 the benchmark's 20-point minimum-rate frontiers on 4 x 50k rows for each
 of the four statistics, so a search change that moves any of them fails
-here.
+here.  So are the partial level-ups of the five one-statistic measures on
+4 x 2000 and 8 x 1000 rows and the full level-ups of the four minimum-rate
+statistics on 4 x 50k rows, by the SHA-256 of repr((thresholds, accuracy,
+provenance)).
 
 The data are drawn as the benchmark draws them: group g has base rate
 BASE_RATES[g], scores are the exact posteriors, and dataset k of a
@@ -32,6 +35,7 @@ import pytest
 
 import oracle
 from levelup import (
+    REJECT_ALL,
     Equality,
     FairnessMeasure,
     GroupSpec,
@@ -44,7 +48,9 @@ from levelup import (
     disparity,
     enforce,
     equality_frontier,
+    full_level_up,
     mrc_frontier,
+    partial_level_up,
     scored_from_arrays,
     synth_generate,
 )
@@ -245,6 +251,50 @@ def test_mrc_frontier_points_are_pinned(stat):
     assert result.skipped == ()
 
 
+LEVEL_UP_MEASURES = {
+    "dp": DP,
+    "eo": FairnessMeasure.EQUAL_OPPORTUNITY,
+    "pp": FairnessMeasure.PREDICTIVE_PARITY,
+    "fperb": FairnessMeasure.FALSE_POSITIVE_ERROR_RATE_BALANCE,
+    "oae": FairnessMeasure.OVERALL_ACCURACY_EQUALITY,
+}
+PARTIAL_LEVEL_UP_PINS = {
+    ("4x2000", "dp"): "1f4c13cb92ede382bf1cd428e249b24a55250c00b7630e8bbfc9628c1c01cb0e",
+    ("4x2000", "eo"): "17417d37b9920d834b3aba03c413e18457fbcd446d0c23c8ffb541874c46f3f3",
+    ("4x2000", "pp"): "be0f5c3441c307dbe81d7dea5daedcaf822fbd21ca2995e00e1c6fa914324e34",
+    ("4x2000", "fperb"): "12870e08401376fda00cfbd80b98cd8be3062183c44147166f59122398a08c60",
+    ("4x2000", "oae"): "104c57cc0ecf66ea4e6aa69c0c464359354aee42f8514ef11d2ebc991099c404",
+    ("8x1000", "dp"): "3ab294f384a6db7d1c559c1364a8b6a15351629bbbe5bc3c254bbc0c3e639719",
+    ("8x1000", "eo"): "b6ec499f466939aa2ba3c6b65af03d663acada872ec2e61fd7b674eb02e049fb",
+    ("8x1000", "pp"): "722c7409a897889e2edb28de8d63e862da285669edfa4e317027600dcd73cf48",
+    ("8x1000", "fperb"): "709d9ecf7ed9c971f21a66c120a0bfe2861413038327369d33981872bdf270b8",
+    ("8x1000", "oae"): "1f396bbda09bfdc0c8cf072197c5be59fc83a8d14a209b30255080ddc6bc02df",
+}
+FULL_LEVEL_UP_PINS = {
+    "selection_rate": "e7adbee45673275e61deeabbbbd15bcc474a9f317ce5e8cc5933cfbfeec6853f",
+    "tpr": "a93c365b9a0aba3aac0c9ad682534cd65fdf23977974373c27294dccc8069b99",
+    "tnr": "8a6fcef773cf2a4c125bf3a19aafb9e90ee8779a2f30dea871c47ea33cb3877d",
+    "precision": "83e0d42be322b7ecc7606ac41de61dd0a6d2b0aad0ffe54c575dd033a056efae",
+}
+
+
+def level_up_digest(result):
+    return digest((result.policy.thresholds, result.accuracy, result.policy.provenance))
+
+
+@pytest.mark.parametrize("name, measure", list(PARTIAL_LEVEL_UP_PINS))
+def test_partial_level_up_is_pinned(name, measure):
+    # oae levels accuracy, a statistic no minimum rate constraint takes
+    result = partial_level_up(scored_set(name), LEVEL_UP_MEASURES[measure], 0.01)
+    assert level_up_digest(result) == PARTIAL_LEVEL_UP_PINS[name, measure]
+
+
+@pytest.mark.parametrize("stat", list(FULL_LEVEL_UP_PINS))
+def test_full_level_up_is_pinned(stat):
+    result = full_level_up(scored_set("4x50k"), stat)
+    assert level_up_digest(result) == FULL_LEVEL_UP_PINS[stat]
+
+
 @pytest.mark.parametrize("name, measure", [
     ("2x1200", DP), ("2x1200", EODDS), ("2x1200", CUAE), ("8x1000", DP), ("8x1000", EODDS),
 ], ids=lambda v: getattr(v, "value", v))
@@ -291,22 +341,41 @@ def many_small_groups():
 MANY_GROUPS = {
     "Equality dp 0.02": Equality(DP, 0.02),
     "Equality eo 0.05": Equality(FairnessMeasure.EQUAL_OPPORTUNITY, 0.05),
+    "MinimumRate tpr 0.6": MinimumRate("tpr", 0.6),
+    "MaximumRate 0.3": MaximumRate(0.3),
+    "MaximumRate 0.0": MaximumRate(0.0),
 }
+
+
+@functools.cache
+def many_small_groups_base():
+    scored = scored_from_arrays(*many_small_groups())
+    return {name: enforce(scored, c) for name, c in MANY_GROUPS.items()}
 
 
 def test_many_small_groups_under_shuffle_and_repetition():
     scores, labels, groups, names = many_small_groups()
-    scored = scored_from_arrays(scores, labels, groups, names)
     order = np.random.default_rng(5).permutation(len(scores))
     shuffled = scored_from_arrays(scores[order], labels[order], groups[order], names)
     tripled = scored_from_arrays(np.repeat(scores, 3), np.repeat(labels, 3),
                                  np.repeat(groups, 3), names)
     for name, c in MANY_GROUPS.items():
-        base = enforce(scored, c)
+        base = many_small_groups_base()[name]
         assert enforce(shuffled, c) == base, name
         got = enforce(tripled, c)
         assert (got.policy.thresholds, got.accuracy) == \
             (base.policy.thresholds, base.accuracy), name
+    # a cap of 0 selects no row, so every group rejects all
+    assert set(many_small_groups_base()["MaximumRate 0.0"].policy.thresholds) == {REJECT_ALL}
+
+
+def test_many_small_groups_halved_scores_pick_the_same_candidates():
+    scores, labels, groups, names = many_small_groups()
+    scored = scored_from_arrays(scores, labels, groups, names)
+    halved = scored_from_arrays(scores / 2, labels, groups, names)
+    for name, c in MANY_GROUPS.items():
+        assert candidate_indices(halved, enforce(halved, c)) == \
+            candidate_indices(scored, many_small_groups_base()[name]), name
 
 
 def test_many_small_groups_name_the_group_without_positives():
@@ -318,3 +387,16 @@ def test_many_small_groups_name_the_group_without_positives():
     assert info.value.blocking_group == "g37"
     # dp reads no positive count, so the set stays feasible for it
     enforce(scored, MANY_GROUPS["Equality dp 0.02"])
+
+
+@pytest.mark.parametrize("constraint", [
+    Equality(FairnessMeasure.FALSE_POSITIVE_ERROR_RATE_BALANCE, 0.05),
+    MinimumRate("tnr", 0.5),
+], ids=["fperb", "min-rate-tnr"])
+def test_many_small_groups_name_the_group_without_negatives(constraint):
+    scores, labels, groups, names = many_small_groups()
+    labels[groups == 12] = 1
+    scored = scored_from_arrays(scores, labels, groups, names)
+    with pytest.raises(InfeasibleConstraintError) as info:
+        enforce(scored, constraint)
+    assert info.value.blocking_group == "g12"

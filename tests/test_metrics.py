@@ -8,6 +8,7 @@ from levelup import (
     REJECT_ALL,
     ConfusionCounts,
     DataError,
+    GroupMetrics,
     FairnessMeasure,
     Provenance,
     ThresholdPolicy,
@@ -170,6 +171,23 @@ class TestGroupStats:
     def test_values_ordering(self):
         m = self.stats()
         assert m.values("selection_rate") == (0.5, 0.5)
+
+
+def counts(tp=(1, 1), fp=(0, 0), tn=(0, 0), fn=(0, 0)):
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn, group_names=("a", "b"))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: counts(tp=(1,)), "tp must have one entry per group"),
+    (lambda: counts(fn=(0, 0, 0)), "fn must have one entry per group"),
+    (lambda: counts(fp=(0, -1)), "negative count in fp"),
+    (lambda: GroupMetrics(stats=group_metrics(counts()).stats, group_names=("a",)),
+     "stats and group_names must align"),
+    (lambda: group_metrics(counts()).for_group(0).get("recall"), "unknown statistic 'recall'"),
+], ids=["tp-length", "fn-length", "negative-fp", "metrics-names", "unknown-statistic"])
+def test_input_errors(make, message):
+    with pytest.raises(DataError, match=message):
+        make()
 
 
 class TestPooledAccuracy:

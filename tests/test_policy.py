@@ -72,6 +72,22 @@ def members_or_none(scored, measure):
         return None
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda s: ThresholdPolicy((0.5,), ("a", "b"), Provenance("none", {}, "exact-grid")),
+     "one threshold per group required"),
+    (lambda s: ThresholdPolicy((0.5, 1.2), ("a", "b"), Provenance("none", {}, "exact-grid")),
+     "threshold 1.2 outside \\[0, 1\\] and not the reject-all sentinel"),
+    (lambda s: candidate_thresholds(s, 2), "no group with id 2"),
+    (lambda s: candidate_thresholds(s, -1), "no group with id -1"),
+    (lambda s: enforce(s, DP), "unknown constraint <FairnessMeasure.DEMOGRAPHIC_PARITY"),
+], ids=["threshold-count", "threshold-range", "group-id-2", "group-id-negative",
+        "not-a-constraint"])
+def test_input_errors(make, message):
+    s = scored_of([(0.2, 0, "a"), (0.7, 1, "a"), (0.4, 1, "b"), (0.6, 0, "b")])
+    with pytest.raises(DataError, match=message):
+        make(s)
+
+
 class TestCandidateThresholds:
     def test_two_distinct_scores(self):
         s = scored_of([(0.2, 0, "a"), (0.6, 1, "a"), (0.5, 1, "b")])
@@ -1203,6 +1219,22 @@ class TestLevellingUp:
         assert "residual gap" in full.policy.provenance.note
         assert "b" in full.policy.provenance.note
 
+    @pytest.mark.parametrize("stat, rows", [
+        # group b has no positive row, so tpr is undefined at every candidate
+        ("tpr", [(0.8, 1, "a"), (0.3, 0, "a"), (0.6, 0, "b"), (0.4, 0, "b")]),
+        # b's negatives outscore its positive, so its unconstrained pick
+        # rejects every row, where precision is 0/0
+        ("precision", [(0.8, 1, "a"), (0.3, 0, "a"),
+                       (0.9, 0, "b"), (0.8, 0, "b"), (0.2, 1, "b")]),
+    ], ids=["tpr-no-positives", "precision-reject-all"])
+    def test_full_names_the_group_undefined_at_its_unconstrained_pick(self, stat, rows):
+        s = scored_of(rows)
+        if stat == "precision":
+            assert enforce(s, Unconstrained()).policy.thresholds[1] == REJECT_ALL
+        with pytest.raises(DataError, match=f"^{stat} is undefined for group 'b' "
+                           "under the unconstrained policy$"):
+            full_level_up(s, stat)
+
     def test_level_up_rejects_two_statistic_measures(self, gap_scored):
         with pytest.raises(DataError):
             partial_level_up(gap_scored, ODDS)
@@ -1217,7 +1249,8 @@ class TestLevellingUp:
 class TestLevelSingleGroup:
     def test_matches_the_outward_scan(self):
         # coarse values give ties at equal distance; NaN stretches and
-        # unreachable targets exercise the fallback
+        # unreachable targets exercise the fallback; a level-up walk has
+        # at least one defined value, its start's
         rng = np.random.default_rng(11)
         for _ in range(3000):
             m = int(rng.integers(1, 14))
@@ -1226,6 +1259,8 @@ class TestLevelSingleGroup:
                 a = int(rng.integers(0, m))
                 vals[a:a + int(rng.integers(1, m + 1))] = np.nan
             start = int(rng.integers(0, m))
+            if np.isnan(vals).all():
+                continue
             target = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 1.25]))
             target += float(rng.choice([0.0, 1e-13, -1e-13, 1e-11]))
             assert policy_module._level_single_group(vals, start, target) == \

@@ -8,6 +8,7 @@ from levelup import (
     DataError,
     FitError,
     LabeledDataset,
+    ScoredDataset,
     ScorerConfig,
     calibration_table,
     fit,
@@ -45,6 +46,47 @@ class TestScoredDataset:
                                np.array([0, 1, 0]),
                                np.array([0, 1, 0]), ("a", "b"))
         assert s.group_rows(0).tolist() == [0, 2]
+
+
+def scored(scores=(0.2, 0.7), labels=(0, 1), groups=(0, 1), names=("a", "b")):
+    return ScoredDataset(scores=np.asarray(scores), labels=np.asarray(labels),
+                         groups=np.asarray(groups), group_names=names)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: scored(labels=(0, 1, 1)), "scores, labels, groups must share a nonzero row count"),
+    (lambda: scored(groups=(0,)), "scores, labels, groups must share a nonzero row count"),
+    (lambda: scored((), (), ()), "scores, labels, groups must share a nonzero row count"),
+    (lambda: scored(scores=(0.0, 0.7)), r"scores must lie strictly inside \(0, 1\)"),
+    (lambda: scored(scores=(0.2, 1.0)), r"scores must lie strictly inside \(0, 1\)"),
+    (lambda: scored(labels=(0, 2)), "labels must be 0 or 1"),
+    (lambda: scored(names=("a",), groups=(0, 0)), "fewer than 2 groups named"),
+    (lambda: scored(names=("a", "a")), "group name 'a' is repeated"),
+    (lambda: scored(groups=(0, 2)), "group id out of range"),
+    # scored_from_arrays once cast these to 0 and 1 without a word
+    (lambda: scored_from_arrays([0.2, 0.7], [0.5, 0.9], [0, 1], ["a", "b"]),
+     "labels must be 0 or 1"),
+    (lambda: scored_from_arrays([0.2, 0.7], [0, 1], [0, 1.7], ["a", "b"]),
+     "group ids must be whole numbers"),
+    (lambda: scored_from_arrays([0.2, 0.7], [0, 1], [0, 1], ["a", "a"]),
+     "group name 'a' is repeated"),
+    # these raised a bare ValueError from the cast
+    (lambda: scored_from_arrays([0.2, 0.7], ["no", "yes"], [0, 1], ["a", "b"]),
+     "labels must be 0 or 1"),
+    (lambda: scored_from_arrays([0.2, 0.7], [0, 1], ["a", "b"], ["a", "b"]),
+     "group ids must be whole numbers"),
+    (lambda: ScorerConfig(learning_rate=0.0), "invalid scorer config"),
+    (lambda: ScorerConfig(iterations=0), "invalid scorer config"),
+    (lambda: ScorerConfig(l2=-1.0), "invalid scorer config"),
+    (lambda: calibration_table(scored(), bins=0), "bins must be >= 1"),
+], ids=[
+    "labels-rows", "groups-rows", "empty", "score-0", "score-1", "label-2", "one-name",
+    "repeated-name", "group-out-of-range", "fractional-labels", "fractional-group",
+    "repeated-name-from-arrays", "string-labels", "string-groups", "learning-rate", "iterations", "l2", "calibration-bins",
+])
+def test_input_errors(make, message):
+    with pytest.raises(DataError, match=message):
+        make()
 
 
 class TestFit:
