@@ -24,21 +24,18 @@ import numpy as np
 
 from . import metrics as M
 from .data import DataError, _parse_json_object, _read_text
-from .metrics import FairnessMeasure
+from .metrics import FairnessMeasure, tracked_statistics
 from .policy import (
     Equality,
     EnforcementResult,
-    InfeasibleConstraintError,
     MinimumRate,
     ThresholdPolicy,
     Unconstrained,
-    _EqualitySearch,
     _Problem,
-    _cells,
+    _baseline,
     _choose,
     _finish,
-    _metrics,
-    _separable_sweep,
+    _sweep,
     policy_from_json_dict,
     policy_to_json_dict,
 )
@@ -140,15 +137,25 @@ def _check_resolution(resolution) -> None:
         raise DataError(f"resolution must be an integer >= 2, got {resolution!r}")
 
 
-def _frontier(problem, target, specs, skipped) -> FrontierResult:
-    """The frontier of a sweep's specs and skipped (value, error) pairs,
-    each in any order: one _finish of the Unconstrained spec with every
-    point's; each point's check against its swept value (for a measure,
-    disparity at most epsilon; for a statistic, minimum at least tau);
-    then the Unconstrained point first, the points and skipped messages
-    by ascending swept value, _dedup and pareto_prune."""
+def _start(problem, stats) -> list[list[float]]:
+    """Each statistic's values at the groups' unconstrained picks; a
+    DataError naming the first group where one is undefined."""
+    try:
+        return [_baseline(problem, stat) for stat in stats]
+    except DataError as exc:
+        raise DataError(f"{exc}; no frontier exists") from None
+
+
+def _frontier(problem, target, constraints) -> FrontierResult:
+    """The frontier of the constraints, in any order: one _sweep of them
+    all; one _finish of the Unconstrained spec with every point's; each
+    point's check against its swept value (for a measure, disparity at
+    most epsilon; for a statistic, minimum at least tau); then the
+    Unconstrained point first, the points and skipped messages by
+    ascending swept value, _dedup and pareto_prune."""
     equality = isinstance(target, FairnessMeasure)
     key = "epsilon" if equality else "tau"
+    specs, skipped = _sweep(problem, constraints)
     specs = sorted(specs, key=lambda spec: spec[2][key])
     uncon, *results = _finish(problem, [_choose(problem, Unconstrained()), *specs])
     raw = [_point(uncon, _objective(uncon.metrics, target), None)]
@@ -188,32 +195,22 @@ def equality_frontier(
     recorded per point is the achieved disparity, which can sit well
     below the swept epsilon.
 
-    The points are searched from the unconstrained disparity down to 0.
-    Feasible sets are nested (a policy feasible at some epsilon is
-    feasible at every larger one), so a point whose predecessor's policy
-    still satisfies its epsilon takes that policy without a search, and
-    once one point is infeasible every tighter point is too, with the
-    same minimum achievable disparity.  The points and the skipped
-    messages, in ascending epsilon, equal those of a fresh
-    enforce(Equality(measure, eps)) at each epsilon, and one pass over
-    the rows tallies them all with the unconstrained point.
+    All points come from one sweep, the one enforce(Equality(measure,
+    eps)) runs at a single epsilon, searched from the unconstrained
+    disparity down to 0.  Feasible sets are nested (a policy feasible at some
+    epsilon is feasible at every larger one), so a point whose
+    predecessor's policy still satisfies its epsilon takes that policy
+    without a search, and once one point is infeasible every tighter
+    point is too, with the same minimum achievable disparity.  The points
+    and the skipped messages, in ascending epsilon, equal those of a fresh
+    enforce at each epsilon, and one pass over the rows tallies them all
+    with the unconstrained point.
     """
     _check_resolution(resolution)
     problem = _Problem(scored)
-    d0 = _objective(_metrics(problem, _cells(problem, problem.uncon)), measure)
-    if d0 is None:
-        raise DataError(
-            f"disparity of {measure.value} is undefined under the "
-            "unconstrained policy; no frontier exists"
-        )
-    search = _EqualitySearch(problem, Equality(measure, d0))
-    specs, skipped = [], []
-    for eps in np.linspace(0.0, d0, resolution)[::-1]:
-        try:
-            specs.append(search.choose(float(eps)))
-        except InfeasibleConstraintError as exc:
-            skipped.append((float(eps), exc))
-    return _frontier(problem, measure, specs, skipped)
+    d0 = max(max(v) - min(v) for v in _start(problem, tracked_statistics(measure)))
+    return _frontier(problem, measure, [
+        Equality(measure, float(eps)) for eps in np.linspace(0.0, d0, resolution)])
 
 
 def mrc_frontier(
@@ -225,23 +222,21 @@ def mrc_frontier(
 
     The objective recorded per point is the achieved minimum group value
     of the statistic.  Sweep values with no feasible policy are skipped
-    and noted, not silently dropped.  Every point is picked from one
-    pass over each group's candidates, and the points and the skipped
-    messages, in ascending tau, equal those of a fresh
-    enforce(MinimumRate(statistic, tau)) at each tau.  One pass over the
-    rows tallies every point with the unconstrained one.
+    and noted, not silently dropped.  All points come from one sweep, the
+    one enforce(MinimumRate(statistic, tau)) runs at a single tau: one pass
+    over each group's candidates picks every point, and the points and
+    the skipped messages, in ascending tau, equal those of a fresh
+    enforce at each tau.  One pass over the rows tallies every point with
+    the unconstrained one.
     """
     _check_resolution(resolution)
+    if statistic not in M.STATISTIC_DIRECTIONS:
+        raise DataError(f"unknown statistic {statistic!r}")
+    MinimumRate(statistic, 1.0)  # a DataError unless a minimum rate statistic
     problem = _Problem(scored)
-    lo = _objective(_metrics(problem, _cells(problem, problem.uncon)), statistic)
-    if lo is None:
-        raise DataError(
-            f"{statistic} is undefined for some group under the "
-            "unconstrained policy; no frontier exists"
-        )
-    specs, skipped = _separable_sweep(
-        problem, [MinimumRate(statistic, float(tau)) for tau in np.linspace(lo, 1.0, resolution)])
-    return _frontier(problem, statistic, specs, skipped)
+    lo = min(_start(problem, [statistic])[0])
+    return _frontier(problem, statistic, [
+        MinimumRate(statistic, float(tau)) for tau in np.linspace(lo, 1.0, resolution)])
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,11 @@ window search section below).  MinimumRate and MaximumRate are
 separable: one pass over each group's candidates finds its finalists,
 which all hold the group's best correct count, so the tie-break among
 their combinations is read in closed form off the groups' sorted
-finalist values.  Provenance.approximate stays in the file format for
-old policy files and is always false.
+finalist values.  Every constrained pick is made by one sweep over
+constraints of one kind: enforce() sweeps its one constraint, and a
+frontier sweeps all its points at once, so each frontier point is the
+pick a fresh enforce() makes.  Provenance.approximate stays in the file
+format for old policy files and is always false.
 
 Problem.  Each enforce, level-up, frontier and CLI enforce works on one
 _Problem: the scored dataset, its candidate tables, the unconstrained
@@ -695,7 +698,11 @@ def _min_disparity(members) -> float:
     bisection starts from the last feasible step's survivors, and a step
     whose _prune returns None is infeasible without a scan.  A feasible
     step's scan returns the disparity d <= eps of a combination it found,
-    so d is feasible too and the next step bisects below it.
+    so d is feasible too and the next step bisects below it.  An
+    infeasible step at eps moves the lower end up to the least candidate
+    difference above eps, values[ends[i]] - values[i] over both
+    statistics: every eps below it has the same ends, so the same
+    windows, and is infeasible too.
     """
     if len(members.stats) == 1:
         anchors, _, base, below, L = members.layouts[0]
@@ -715,7 +722,11 @@ def _min_disparity(members) -> float:
         if top >= 0:
             hi, members = int(np.float64(d).view(np.int64)), survivors
         else:
-            lo = mid + 1
+            gap = 1.0
+            for v, end in zip(members.values, ends):
+                i = np.flatnonzero(end < len(v))
+                gap = (v[end[i]] - v[i]).min(initial=gap)
+            lo = max(mid + 1, int(np.float64(gap).view(np.int64)))
     return float(np.int64(lo).view(np.float64))
 
 
@@ -925,63 +936,58 @@ def _enforce(problem, constraint) -> EnforcementResult:
 def _choose(problem, constraint):
     """The picks enforce() makes for the constraint on the problem, with
     their provenance: the spec (picks, constraint name, parameters, search,
-    note) that _finish takes.  A sweep finishes its specs together."""
+    note) that _finish takes; every other constraint is a sweep of one."""
     if isinstance(constraint, Unconstrained):
         return problem.uncon, "unconstrained", {}, "exact-grid", ""
-
-    if isinstance(constraint, (MinimumRate, MaximumRate)):
-        specs, skipped = _separable_sweep(problem, [constraint])
-        if skipped:
-            raise skipped[0][1]
-        return specs[0]
-
-    if isinstance(constraint, Equality):
-        return _EqualitySearch(problem, constraint).choose(constraint.epsilon)
-
-    raise DataError(f"unknown constraint {constraint!r}")
+    specs, skipped = _sweep(problem, [constraint])
+    if skipped:
+        raise skipped[0][1]
+    return specs[0]
 
 
-class _EqualitySearch:
-    """Equality for one measure on one problem, at any epsilon.
+def _sweep(problem, constraints):
+    """The picks of constraints of one kind on one measure or statistic,
+    in any order: the specs of the feasible ones and the (bound, error)
+    pairs of the rest.  Every constrained pick is made here: enforce()
+    sweeps one constraint, a frontier all its points at once."""
+    if isinstance(constraints[0], Equality):
+        return _equality_sweep(problem, constraints)
+    if isinstance(constraints[0], (MinimumRate, MaximumRate)):
+        return _separable_sweep(problem, constraints)
+    raise DataError(f"unknown constraint {constraints[0]!r}")
 
-    The members are built once and the minimum disparity at most once, so
-    a sweep over epsilon pays for neither at every point.  Feasible sets
-    are nested: a combination feasible at some epsilon is feasible at
-    every larger one.  So, at an epsilon smaller than earlier ones:
 
-    - below the minimum disparity it is infeasible, without a search;
-    - the last picks found, at a larger epsilon, are its answer when
-      their disparity d, which the window search returned with them, is
-      within it: they reach its best total, its feasible set is a subset
-      of the larger epsilon's, and the tie-break chain ranked the picks
-      first among the larger set's combinations reaching that total.
+def _equality_sweep(problem, constraints):
+    """_sweep() for Equality constraints on one measure, searched from the
+    largest epsilon down on one member set.
 
-    The picks are used only at epsilons no larger than the one they were
-    found at, so calls in any order return what enforce() returns.
+    Feasible sets are nested: a combination feasible at some epsilon is
+    feasible at every larger one.  So the last picks found, at a larger
+    epsilon, are the answer at a smaller one while their disparity d,
+    which the window search returned with them, is within it: they reach
+    its best total, its feasible set is a subset of the larger epsilon's,
+    and the tie-break chain ranked the picks first among the larger set's
+    combinations reaching that total.  Once one epsilon is infeasible,
+    every smaller one is too, and the minimum disparity is computed once
+    for all their messages.
     """
-
-    def __init__(self, problem, constraint: Equality):
-        self.measure = constraint.measure
-        self.members = _members(problem, tracked_statistics(constraint.measure))
-        self.min_disparity = None
-        self.last = None  # (epsilon, d, picks) of the last search that found picks
-
-    def choose(self, eps):
-        """_choose() for Equality(measure, eps)."""
-        if self.last is None or self.last[0] < eps or self.last[1] > eps:
-            top = -1
-            if self.min_disparity is None or eps >= self.min_disparity:
-                top, d, picks = _window_search(self.members, eps)
-            if top < 0:
-                if self.min_disparity is None:
-                    self.min_disparity = _min_disparity(self.members)
-                raise InfeasibleConstraintError(
-                    f"no candidate policy reaches disparity <= {eps}; "
-                    f"minimum achievable disparity is {self.min_disparity:.6g}"
-                )
-            self.last = (eps, d, picks)
-        params = {"measure": self.measure.value, "epsilon": eps}
-        return self.last[2], "equality", params, "exact-grid", ""
+    measure = constraints[0].measure
+    members = _members(problem, tracked_statistics(measure))
+    specs, skipped, last, least = [], [], None, None
+    for eps in sorted((c.epsilon for c in constraints), reverse=True):
+        if least is None and (last is None or last[0] > eps):
+            top, d, picks = _window_search(members, eps)
+            if top >= 0:
+                last = d, picks
+            else:
+                least = _min_disparity(members)
+        if least is None:
+            specs.append((last[1], "equality", {"measure": measure.value, "epsilon": eps}, "exact-grid", ""))
+        else:
+            skipped.append((eps, InfeasibleConstraintError(
+                f"no candidate policy reaches disparity <= {eps}; "
+                f"minimum achievable disparity is {least:.6g}")))
+    return specs, skipped
 
 
 # ---------------------------------------------------------------------------

@@ -228,16 +228,21 @@ def brute_force_pareto(accuracy, objective, direction="min"):
 def equality_frontier(scored, measure, resolution=50):
     """The equality sweep point by point: epsilon ascending over
     linspace(0, unconstrained disparity, resolution), a fresh enforce at
-    each point, the unconstrained policy first among the raw points."""
+    each point, the unconstrained policy first among the raw points.  A
+    DataError names the first group, by tracked statistic, whose tally at
+    its unconstrained threshold leaves the statistic undefined."""
     _check_resolution(resolution)
     problem = _Problem(scored)
     uncon = _enforce(problem, Unconstrained())
+    for name in _TRACKED[measure.value]:
+        for g, threshold in enumerate(uncon.policy.thresholds):
+            rows = scored.groups == g
+            if stat_from_counts(tally(scored.scores[rows], scored.labels[rows], threshold), name) is None:
+                raise DataError(
+                    f"{name} is undefined for group {scored.group_names[g]!r} under the "
+                    "unconstrained policy; no frontier exists"
+                )
     d0 = disparity(uncon.metrics, measure)
-    if d0 is None:
-        raise DataError(
-            f"disparity of {measure.value} is undefined under the "
-            "unconstrained policy; no frontier exists"
-        )
     raw = [_point(uncon, d0, None)]
     skipped = []
     for eps in np.linspace(0.0, d0, resolution):

@@ -162,6 +162,18 @@ class TestEqualityFrontier:
                 s, FairnessMeasure.FALSE_POSITIVE_ERROR_RATE_BALANCE,
                 resolution=5)
 
+    def test_undefined_start_names_the_group(self):
+        # group b has no positives, so its true positive rate has no value
+        s = scored_from_arrays(np.array([0.2, 0.7, 0.6, 0.8]),
+                               np.array([0, 1, 0, 0]),
+                               np.array([0, 0, 1, 1]), ("a", "b"))
+        message = "^tpr is undefined for group 'b' under the unconstrained policy; no frontier exists$"
+        for sweep in (lambda: mrc_frontier(s, "tpr", 5),
+                      lambda: equality_frontier(s, FairnessMeasure.EQUAL_OPPORTUNITY, 5),
+                      lambda: oracle.equality_frontier(s, FairnessMeasure.EQUAL_OPPORTUNITY, 5)):
+            with pytest.raises(DataError, match=message):
+                sweep()
+
 
 def medium_scored(rng):
     """Two groups of 20-150 rows over 5-40 distinct scores, labels drawn
@@ -179,7 +191,8 @@ def medium_scored(rng):
 
 
 def count_calls(monkeypatch, name):
-    """Replace policy.<name> with a wrapper that counts its calls."""
+    """Replace policy.<name>, and frontier's import of it, with a wrapper
+    that counts its calls."""
     calls = []
     inner = getattr(policy_module, name)
 
@@ -187,7 +200,9 @@ def count_calls(monkeypatch, name):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(policy_module, name, counted)
+    for module in (policy_module, frontier_module):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -231,24 +246,28 @@ class TestEqualitySweep:
             assert equality_frontier(scored, measure, 30) == want
 
     def test_search_in_any_epsilon_order_equals_fresh_enforce(self):
-        # state carried between calls must never leak into a looser epsilon
+        # a sweep takes its constraints in any order, repeats included;
+        # state carried between its points must never leak into a looser one
         rng = np.random.default_rng(77)
+        skips = 0
         for i in range(30):
             scored = random_small_scored(rng, n_groups=int(rng.integers(2, 4)),
                                          max_distinct=8)
             measure = ENFORCEABLE[i % len(ENFORCEABLE)]
             problem = policy_module._Problem(scored)
-            search = policy_module._EqualitySearch(problem, Equality(measure, 1.0))
-            for eps in rng.choice(np.linspace(0.0, 0.6, 13), size=12):
-                eps = float(eps)
-                try:
-                    want = enforce(scored, Equality(measure, eps))
-                except InfeasibleConstraintError as exc:
-                    with pytest.raises(InfeasibleConstraintError) as info:
-                        search.choose(eps)
-                    assert str(info.value) == str(exc)
-                    continue
-                assert policy_module._finish(problem, [search.choose(eps)])[0] == want
+            eps_list = rng.permutation(rng.choice(np.linspace(0.0, 0.6, 13), size=12)).tolist()
+            specs, skipped = policy_module._sweep(problem, [Equality(measure, eps) for eps in eps_list])
+            assert sorted([spec[2]["epsilon"] for spec in specs] + [eps for eps, _ in skipped]) == \
+                sorted(eps_list)
+            for spec in specs:
+                want = enforce(scored, Equality(measure, spec[2]["epsilon"]))
+                assert policy_module._finish(problem, [spec])[0] == want
+            for eps, exc in skipped:
+                with pytest.raises(InfeasibleConstraintError) as info:
+                    enforce(scored, Equality(measure, eps))
+                assert str(exc) == str(info.value)
+            skips += len(skipped)
+        assert skips
 
     @pytest.mark.parametrize("measure", [DP, FairnessMeasure.EQUALIZED_ODDS])
     def test_members_built_once(self, gap_scored, monkeypatch, measure):
@@ -455,6 +474,25 @@ class TestMrcFrontier:
         # and a cap is the same pass
         enforce(gap_scored, MaximumRate(1.0))
         assert calls == 3 * list(range(gap_scored.n_groups))
+
+
+class TestOneSweep:
+    """Every constrained pick is one _sweep: enforce sweeps its one
+    constraint, a frontier all its points, and Unconstrained none."""
+
+    def test_one_sweep_per_enforce_and_per_frontier(self, gap_scored, monkeypatch):
+        calls = count_calls(monkeypatch, "_sweep")
+        enforce(gap_scored, Unconstrained())
+        assert calls == []
+        for constraint in (Equality(DP, 0.05), Equality(FairnessMeasure.EQUALIZED_ODDS, 0.05),
+                           MinimumRate("tpr", 0.5), MaximumRate(0.5)):
+            enforce(gap_scored, constraint)
+            assert [args[1] for args in calls] == [[constraint]]
+            calls.clear()
+        for frontier, target in ((equality_frontier, DP), (mrc_frontier, "tpr")):
+            frontier(gap_scored, target, 20)
+            assert len(calls) == 1 and len(calls[0][1]) == 20
+            calls.clear()
 
 
 class TestSerialization:

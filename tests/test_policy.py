@@ -550,14 +550,20 @@ class TestSearchAnswers:
     @pytest.mark.parametrize("n_groups, rows", [(2, 1200), (4, 2000)], ids=["2x1200", "4x2000"])
     def test_bisection_scans_few_steps(self, monkeypatch, n_groups, rows):
         # each feasible step sets the bisection's upper end to the scan's d,
-        # a disparity some combination reaches, not to the step's eps
+        # a disparity some combination reaches, not to the step's eps; each
+        # infeasible step sets the lower end to the least candidate
+        # difference above its eps, not to the next float
         scored = scored_from_arrays(*synth_arrays(n_groups, rows, 3))
-        scans, inside = [0], [0]
-        box_scan, least = policy_module._box_scan, policy_module._min_disparity
+        scans, prunes, inside = [0], [0], [0]
+        box_scan, prune, least = policy_module._box_scan, policy_module._prune, policy_module._min_disparity
 
         def counted_scan(members, ends):
             scans[0] += inside[0]
             return box_scan(members, ends)
+
+        def counted_prune(members, ends):
+            prunes[0] += inside[0]
+            return prune(members, ends)
 
         def counted_least(members):
             inside[0] += 1
@@ -567,10 +573,12 @@ class TestSearchAnswers:
                 inside[0] -= 1
 
         monkeypatch.setattr(policy_module, "_box_scan", counted_scan)
+        monkeypatch.setattr(policy_module, "_prune", counted_prune)
         monkeypatch.setattr(policy_module, "_min_disparity", counted_least)
         with pytest.raises(InfeasibleConstraintError, match="minimum achievable disparity is"):
             enforce(scored, Equality(CUAE, 0.0))
         assert 1 <= scans[0] <= 8
+        assert 1 <= prunes[0] <= 40
 
 
 class TestWindowLayouts:
