@@ -34,9 +34,11 @@ Problem.  Each enforce, level-up, frontier and CLI enforce works on one
 _Problem: the scored dataset, its candidate tables, the unconstrained
 picks and, per group, the correct count and each statistic the
 constraint reads at every candidate.  Each array is computed once, on
-first use, and statistics come from the one numerator and denominator
-definition in metrics (NaN here where metrics reports None), as do a
-result's metrics and pooled accuracy, from its picks' table cells.  Every
+first use; the tables alone outlive the call, kept for the last dataset
+they were built for, so calls on one live dataset build them once.
+Statistics come from the one numerator and denominator definition in
+metrics (NaN here where metrics reports None), as do a result's metrics
+and pooled accuracy, from its picks' table cells.  Every
 returned policy is re-tallied from the rows, and each group's four cells
 in the tally must equal its table's.  The tally reads only the scores,
 labels, groups and thresholds, never the tables, and one pass over the
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,9 +200,10 @@ class EnforcementResult:
 # candidate tables
 
 
-@dataclass
+@dataclass(frozen=True)
 class _GroupTable:
-    """Confusion outcomes at every candidate threshold for one group."""
+    """Confusion outcomes at every candidate threshold for one group; its
+    arrays are read-only, since the tables of a dataset are shared."""
 
     thresholds: np.ndarray
     tp: np.ndarray
@@ -230,9 +234,13 @@ def _group_table(scored: ScoredDataset, gid: int) -> _GroupTable:
     bits = key >> 1
     start = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
     distinct = bits[start].view(np.float64)
-    # suffix sums: candidate k selects the rows from distinct score k on
-    tp = np.append(np.cumsum((key & 1)[::-1])[::-1][start], 0)
-    fp = np.append(len(key) - start, 0) - tp
+    # suffix sums: candidate k selects the rows from distinct score k on.
+    # The counts are int32 below 2**31 rows: a dataset's tables outlive the
+    # call (_build_tables), and int32 holds them in 16 bytes per candidate
+    # with the threshold, not 24.
+    counts = np.int32 if len(key) < 2**31 else np.int64
+    tp = np.append(np.cumsum((key & 1)[::-1])[::-1][start], 0).astype(counts)
+    fp = np.append(len(key) - start, 0).astype(counts) - tp
     thresholds = np.empty(len(distinct) + 1)
     thresholds[0] = 0.0
     lower, upper, mid = distinct[:-1], distinct[1:], thresholds[1:-1]
@@ -245,8 +253,35 @@ def _group_table(scored: ScoredDataset, gid: int) -> _GroupTable:
     return _GroupTable(thresholds=thresholds, tp=tp, fp=fp, pos=pos, neg=len(key) - pos)
 
 
-def _build_tables(scored: ScoredDataset) -> list[_GroupTable]:
-    return [_group_table(scored, gid) for gid in range(scored.n_groups)]
+# The candidate tables of the last scored dataset they were built for:
+# (a weak reference to the dataset, its tables), or None.  A dataset's
+# arrays are read-only and its own, so its tables stay valid while it
+# lives, and _finish re-tallies every result from the rows regardless.
+_last_tables = None
+
+
+def _forget_tables(ref) -> None:
+    """Empty the slot when its dataset dies, unless it has moved on."""
+    global _last_tables
+    if _last_tables is not None and _last_tables[0] is ref:
+        _last_tables = None
+
+
+def _build_tables(scored: ScoredDataset) -> tuple[_GroupTable, ...]:
+    """Every group's candidate table, built once for the last dataset
+    asked for: a call on another dataset first frees the slot, so the
+    process never holds two datasets' tables."""
+    global _last_tables
+    slot = _last_tables
+    if slot is not None and slot[0]() is scored:
+        return slot[1]
+    _last_tables = slot = None  # nothing left holds the old tables
+    tables = tuple(_group_table(scored, gid) for gid in range(scored.n_groups))
+    for t in tables:
+        for arr in (t.thresholds, t.tp, t.fp):
+            arr.setflags(write=False)
+    _last_tables = weakref.ref(scored, _forget_tables), tables
+    return tables
 
 
 def candidate_thresholds(scored: ScoredDataset, gid: int) -> np.ndarray:
@@ -257,8 +292,9 @@ def candidate_thresholds(scored: ScoredDataset, gid: int) -> np.ndarray:
 
 
 def _correct_array(table: _GroupTable) -> np.ndarray:
-    """Correctly classified rows at every candidate: tp + tn."""
-    return table.tp + (table.neg - table.fp)
+    """Correctly classified rows at every candidate: tp + tn, as int64,
+    since the window search multiplies correct counts by member counts."""
+    return np.add(table.tp, table.neg - table.fp, dtype=np.int64)
 
 
 def _stat_array(table: _GroupTable, name: str) -> np.ndarray:
@@ -272,10 +308,11 @@ class _Problem:
     """One scored dataset as a search problem, shared by every search,
     level-up walk and _finish of one call or sweep.
 
-    It holds the candidate tables, the correct counts and each statistic
-    at every candidate, and the unconstrained picks.  An array is
-    computed on first use and then kept, so only the arrays the
-    constraints read are held: 8 bytes per candidate each.
+    It holds the candidate tables, shared with every call on the same
+    dataset (_build_tables), and, for this call alone, the correct counts
+    and each statistic at every candidate, and the unconstrained picks.
+    An array is computed on first use and then kept, so only the arrays
+    the constraints read are held: 8 bytes per candidate each.
     """
 
     def __init__(self, scored: ScoredDataset):
@@ -369,16 +406,19 @@ class _Members:
         """Per statistic, (anchors, order, base, below, L): the ranks the
         members hold, the order by (group, rank), below and each group's
         offset base[g] = g * K into it, and each group's window start
-        L = below[base + anchors]."""
+        L = below[base + anchors].  Read only on _members' sets and their
+        subsets in order, whose members already follow (group, first
+        statistic), so the first order is the identity."""
         layouts = []
-        for rank, values in zip(self.rank, self.values):
+        for s, (rank, values) in enumerate(zip(self.rank, self.values)):
             K = len(values)
             key = self.group * K + rank
             count = np.bincount(key, minlength=self.n_groups * K)
             below = np.concatenate(([0], np.cumsum(count)))
             base = np.arange(self.n_groups)[:, None] * K
             anchors = np.flatnonzero(count.reshape(self.n_groups, K).any(axis=0))
-            layouts.append((anchors, np.argsort(key, kind="stable"), base, below, below[base + anchors]))
+            order = np.argsort(key, kind="stable") if s else np.arange(len(key))
+            layouts.append((anchors, order, base, below, below[base + anchors]))
         return layouts
 
     @functools.cached_property

@@ -45,9 +45,19 @@ class FitError(RuntimeError):
     pass
 
 
+def _own(values, dtype=None) -> np.ndarray:
+    """values as an array that owns its data: a view is copied, so writing
+    to its base cannot change a dataset."""
+    arr = np.asarray(values, dtype=dtype)
+    return arr.copy() if arr.base is not None else arr
+
+
 @dataclass(frozen=True)
 class ScoredDataset:
-    """Per-row (score, label, group) triples with shared group naming."""
+    """Per-row (score, label, group) triples with shared group naming.
+
+    The arrays are read-only and the dataset's own: one given as a view of
+    another array is copied."""
 
     scores: np.ndarray
     labels: np.ndarray
@@ -55,14 +65,14 @@ class ScoredDataset:
     group_names: tuple[str, ...]
 
     def __post_init__(self):
-        scores = _frozen(np.asarray(self.scores, dtype=np.float64))
+        scores = _frozen(_own(self.scores, np.float64))
         object.__setattr__(self, "scores", scores)
         n = len(scores)
         if len(self.labels) != n or len(self.groups) != n or n == 0:
             raise DataError("scores, labels, groups must share a nonzero row count")
         if not np.all((scores > 0.0) & (scores < 1.0)):
             raise DataError("scores must lie strictly inside (0, 1) after clamping")
-        labels, groups = _labels_and_groups(self.labels, self.groups, self.group_names)
+        labels, groups = _labels_and_groups(_own(self.labels), _own(self.groups), self.group_names)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "groups", groups)
 

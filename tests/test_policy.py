@@ -1,8 +1,10 @@
 import functools
+import gc
 import json
 import math
 import tracemalloc
 import types
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -1302,7 +1304,7 @@ class TestEmptyGroup:
 
 class TestTableReuse:
     """A sweep, and a partial level-up with its inner Equality, build the
-    candidate tables once."""
+    candidate tables once, and calls on one live dataset share them."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -1328,6 +1330,108 @@ class TestTableReuse:
         part = partial_level_up(gap_scored, DP, epsilon=0.01)
         assert "already level" not in part.policy.provenance.note
         assert len(builds) == 1
+
+    @staticmethod
+    def fresh(seed, n_groups=3):
+        return random_small_scored(np.random.default_rng(seed), n_groups)
+
+    def test_calls_on_one_dataset_build_each_table_once(self, monkeypatch):
+        calls = []
+        group_table = policy_module._group_table
+
+        def counted(scored, gid):
+            calls.append(gid)
+            return group_table(scored, gid)
+
+        monkeypatch.setattr(policy_module, "_group_table", counted)
+        scored = self.fresh(0)
+        enforce(scored, Equality(DP, 0.1))
+        enforce(scored, MinimumRate("tpr", 0.6))
+        full_level_up(scored, "selection_rate")
+        mrc_frontier(scored, "selection_rate", 5)
+        assert sorted(calls) == list(range(scored.n_groups))
+
+    def test_another_dataset_frees_the_first_ones_tables(self, monkeypatch):
+        first, second = self.fresh(1), self.fresh(2)
+        tp = weakref.ref(policy_module._build_tables(first)[0].tp)
+        enforce(first, Unconstrained())
+        assert tp() is not None
+        freed = []
+        group_table = policy_module._group_table
+
+        def watched(scored, gid):
+            freed.append(tp() is None)
+            return group_table(scored, gid)
+
+        monkeypatch.setattr(policy_module, "_group_table", watched)
+        enforce(second, Unconstrained())
+        # freed before the second dataset's first table is built
+        assert freed == [True] * second.n_groups
+        gc.collect()
+        assert tp() is None
+        assert policy_module._last_tables[0]() is second
+        assert first.n_rows  # the first dataset is still alive
+
+    def test_a_dead_dataset_empties_the_slot(self):
+        scored = self.fresh(3)
+        enforce(scored, Unconstrained())
+        assert policy_module._last_tables[0]() is scored
+        del scored
+        gc.collect()
+        assert policy_module._last_tables is None
+
+    def test_a_dead_dataset_leaves_a_newer_slot(self):
+        first, second = self.fresh(4), self.fresh(5)
+        ref = weakref.ref(first, policy_module._forget_tables)
+        enforce(second, Unconstrained())
+        slot = policy_module._last_tables
+        del first
+        gc.collect()
+        assert ref() is None and slot[0]() is second
+        assert policy_module._last_tables is slot
+
+    def test_shared_tables_are_read_only(self):
+        scored = self.fresh(6)
+        tables = policy_module._build_tables(scored)
+        assert isinstance(tables, tuple)
+        for table in tables:
+            with pytest.raises(AttributeError):
+                table.pos = 0
+            for arr in (table.thresholds, table.tp, table.fp):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+        # candidate_thresholds hands out a fresh array the caller may write
+        fresh = candidate_thresholds(scored, 0)
+        assert fresh.flags.writeable and fresh is not tables[0].thresholds
+        assert fresh.tolist() == tables[0].thresholds.tolist()
+
+    def test_warm_results_equal_cold_ones(self, monkeypatch):
+        def outcomes(scored, cold):
+            found = []
+            for run in (
+                    lambda: enforce(scored, Unconstrained()),
+                    lambda: enforce(scored, Equality(DP, 0.05)),
+                    lambda: enforce(scored, Equality(ODDS, 0.1)),
+                    lambda: enforce(scored, MinimumRate("tpr", 0.7)),
+                    lambda: enforce(scored, MaximumRate(0.3)),
+                    lambda: partial_level_up(scored, EO, 0.01),
+                    lambda: full_level_up(scored, "selection_rate"),
+                    lambda: equality_frontier(scored, DP, 6),
+                    lambda: mrc_frontier(scored, "tpr", 6)):
+                if cold:
+                    monkeypatch.setattr(policy_module, "_last_tables", None)
+                try:
+                    found.append(run())
+                except (DataError, InfeasibleConstraintError) as exc:
+                    found.append(str(exc))
+            return found
+
+        rng = np.random.default_rng(9)
+        for _ in range(12):
+            scored = random_small_scored(rng, int(rng.integers(2, 5)), int(rng.integers(3, 15)))
+            cold = outcomes(scored, cold=True)
+            assert outcomes(scored, cold=False) == cold
 
 
 class TestProblem:
@@ -1396,11 +1500,15 @@ class TestProblem:
         assert alone[0] == enforce(gap_scored, Unconstrained())
         assert finish(problem, specs) == alone
         # one more true and one more false positive, at one point's pick,
-        # leave the correct count
+        # leave the correct count; the problem gets an altered copy of the
+        # shared, read-only table
         bad = specs[2][0][1]
         table = problem.tables[1]
-        table.tp[bad] += 1
-        table.fp[bad] += 1
+        tp, fp = table.tp.copy(), table.fp.copy()
+        tp[bad] += 1
+        fp[bad] += 1
+        table = replace(table, tp=tp, fp=fp)
+        problem.tables = (problem.tables[0], table, *problem.tables[2:])
         assert problem.correct(1)[bad] == table.tp[bad] + table.neg - table.fp[bad]
         with pytest.raises(RuntimeError, match="group 'b': candidate table counts"):
             finish(problem, [specs[2]])

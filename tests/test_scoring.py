@@ -47,6 +47,24 @@ class TestScoredDataset:
                                np.array([0, 1, 0]), ("a", "b"))
         assert s.group_rows(0).tolist() == [0, 2]
 
+    def test_views_are_copied_and_owned_arrays_kept(self):
+        # columns of a writable 2-D array: writing to it after the build
+        # leaves the dataset as it was
+        base = np.array([[0.2, 0, 0], [0.7, 1, 1], [0.4, 1, 0]])
+        labels, groups = base[:, 1].astype(np.int64), base[:, 2].astype(np.int64)
+        s = ScoredDataset(scores=base[:, 0], labels=labels[:], groups=groups[::1],
+                          group_names=("a", "b"))
+        base[:] = 0.5
+        labels[:] = 0
+        groups[:] = 1
+        assert s.scores.tolist() == [0.2, 0.7, 0.4]
+        assert s.labels.tolist() == [0, 1, 1] and s.groups.tolist() == [0, 1, 0]
+        assert all(not a.flags.writeable and a.base is None
+                   for a in (s.scores, s.labels, s.groups))
+        scores, labels, groups = np.array([0.2, 0.7]), np.array([0, 1]), np.array([0, 1])
+        s = ScoredDataset(scores=scores, labels=labels, groups=groups, group_names=("a", "b"))
+        assert s.scores is scores and s.labels is labels and s.groups is groups
+
 
 def scored(scores=(0.2, 0.7), labels=(0, 1), groups=(0, 1), names=("a", "b")):
     return ScoredDataset(scores=np.asarray(scores), labels=np.asarray(labels),
