@@ -262,7 +262,13 @@ _TRACKED = {
 }
 
 
+def _check_measure(measure) -> None:
+    if not isinstance(measure, FairnessMeasure):
+        raise DataError(f"measure must be a FairnessMeasure, got {measure!r}")
+
+
 def tracked_statistics(measure: FairnessMeasure) -> tuple[str, ...]:
+    _check_measure(measure)
     return _TRACKED[measure]
 
 
@@ -359,6 +365,7 @@ _PROFILES = {
 
 
 def harm_profile(measure: FairnessMeasure) -> HarmProfile:
+    _check_measure(measure)
     return _PROFILES[measure]
 
 

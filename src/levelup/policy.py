@@ -31,11 +31,12 @@ pick a fresh enforce() makes.  Provenance.approximate stays in the file
 format for old policy files and is always false.
 
 Problem.  Each enforce, level-up, frontier and CLI enforce works on one
-_Problem: the scored dataset, its candidate tables, the unconstrained
-picks and, per group, the correct count and each statistic the
-constraint reads at every candidate.  Each array is computed once, on
-first use; the tables alone outlive the call, kept for the last dataset
-they were built for, so calls on one live dataset build them once.
+_Problem: the scored dataset and its candidate tables.  Each table keeps
+the arrays derived from it: its group's correct count and each statistic
+a constraint reads at every candidate, and its unconstrained pick, each
+computed once, on first use.  The tables, and so those arrays, are kept
+for the last dataset they were built for, so calls on one live dataset
+build each of them once; member sets and their layouts stay per call.
 Statistics come from the one numerator and denominator definition in
 metrics (NaN here where metrics reports None), as do a result's metrics
 and pooled accuracy, from its picks' table cells.  Every
@@ -59,8 +60,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,6 +127,13 @@ class ThresholdPolicy:
         return self.thresholds[self.group_names.index(name)]
 
 
+def _check_bound(name, value) -> None:
+    """A DataError unless a constraint's bound is a real number; a bool is
+    not one, though Python counts it as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Equality:
     """Disparity of the measure's statistic(s) must not exceed epsilon."""
@@ -133,6 +142,7 @@ class Equality:
     epsilon: float
 
     def __post_init__(self):
+        _check_bound("epsilon", self.epsilon)
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise DataError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if not harm_profile(self.measure).enforceable:
@@ -151,6 +161,7 @@ class MinimumRate:
             raise DataError(
                 f"minimum rate statistic must be one of {MIN_RATE_STATISTICS}"
             )
+        _check_bound("tau", self.tau)
         if not 0.0 <= self.tau <= 1.0:
             raise DataError("tau must lie in [0, 1]")
 
@@ -165,6 +176,7 @@ class MaximumRate:
     def __post_init__(self):
         if self.statistic != "selection_rate":
             raise DataError("maximum rate supports only selection_rate")
+        _check_bound("kappa", self.kappa)
         if not 0.0 <= self.kappa <= 1.0:
             raise DataError("kappa must lie in [0, 1]")
 
@@ -202,18 +214,42 @@ class EnforcementResult:
 
 @dataclass(frozen=True)
 class _GroupTable:
-    """Confusion outcomes at every candidate threshold for one group; its
-    arrays are read-only, since the tables of a dataset are shared."""
+    """Confusion outcomes at every candidate threshold for one group, and
+    the arrays the searches derive from them: the correct counts, each
+    statistic read and the unconstrained pick, each computed on first use
+    and kept for the table's life.  Every array is read-only, since the
+    tables of a dataset are shared; a table made by dataclasses.replace
+    starts without the derived ones."""
 
     thresholds: np.ndarray
     tp: np.ndarray
     fp: np.ndarray
     pos: int
     neg: int
+    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.thresholds)
+
+    @functools.cached_property
+    def correct(self) -> np.ndarray:
+        return _read_only(_correct_array(self))
+
+    def stat(self, name: str) -> np.ndarray:
+        if name not in self._stats:
+            self._stats[name] = _read_only(_stat_array(self, name))
+        return self._stats[name]
+
+    @functools.cached_property
+    def uncon(self) -> int:
+        """The first candidate classifying the most rows correctly."""
+        return int(np.argmax(self.correct))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _group_table(scored: ScoredDataset, gid: int) -> _GroupTable:
@@ -237,7 +273,7 @@ def _group_table(scored: ScoredDataset, gid: int) -> _GroupTable:
     # suffix sums: candidate k selects the rows from distinct score k on.
     # The counts are int32 below 2**31 rows: a dataset's tables outlive the
     # call (_build_tables), and int32 holds them in 16 bytes per candidate
-    # with the threshold, not 24.
+    # with the threshold, not 24, and the correct counts in 4, not 8.
     counts = np.int32 if len(key) < 2**31 else np.int64
     tp = np.append(np.cumsum((key & 1)[::-1])[::-1][start], 0).astype(counts)
     fp = np.append(len(key) - start, 0).astype(counts) - tp
@@ -254,7 +290,8 @@ def _group_table(scored: ScoredDataset, gid: int) -> _GroupTable:
 
 
 # The candidate tables of the last scored dataset they were built for:
-# (a weak reference to the dataset, its tables), or None.  A dataset's
+# (a weak reference to the dataset, its tables), or None; the tables
+# carry the arrays calls have derived from them.  A dataset's
 # arrays are read-only and its own, so its tables stay valid while it
 # lives, and _finish re-tallies every result from the rows regardless.
 _last_tables = None
@@ -270,7 +307,7 @@ def _forget_tables(ref) -> None:
 def _build_tables(scored: ScoredDataset) -> tuple[_GroupTable, ...]:
     """Every group's candidate table, built once for the last dataset
     asked for: a call on another dataset first frees the slot, so the
-    process never holds two datasets' tables."""
+    process never holds two datasets' tables or derived arrays."""
     global _last_tables
     slot = _last_tables
     if slot is not None and slot[0]() is scored:
@@ -279,7 +316,7 @@ def _build_tables(scored: ScoredDataset) -> tuple[_GroupTable, ...]:
     tables = tuple(_group_table(scored, gid) for gid in range(scored.n_groups))
     for t in tables:
         for arr in (t.thresholds, t.tp, t.fp):
-            arr.setflags(write=False)
+            _read_only(arr)
     _last_tables = weakref.ref(scored, _forget_tables), tables
     return tables
 
@@ -292,9 +329,9 @@ def candidate_thresholds(scored: ScoredDataset, gid: int) -> np.ndarray:
 
 
 def _correct_array(table: _GroupTable) -> np.ndarray:
-    """Correctly classified rows at every candidate: tp + tn, as int64,
-    since the window search multiplies correct counts by member counts."""
-    return np.add(table.tp, table.neg - table.fp, dtype=np.int64)
+    """Correctly classified rows at every candidate: tp + tn, in the
+    table's count type, since the table keeps it; _members widens it."""
+    return table.tp + (table.neg - table.fp)
 
 
 def _stat_array(table: _GroupTable, name: str) -> np.ndarray:
@@ -306,35 +343,24 @@ def _stat_array(table: _GroupTable, name: str) -> np.ndarray:
 
 class _Problem:
     """One scored dataset as a search problem, shared by every search,
-    level-up walk and _finish of one call or sweep.
-
-    It holds the candidate tables, shared with every call on the same
-    dataset (_build_tables), and, for this call alone, the correct counts
-    and each statistic at every candidate, and the unconstrained picks.
-    An array is computed on first use and then kept, so only the arrays
-    the constraints read are held: 8 bytes per candidate each.
-    """
+    level-up walk and _finish of one call or sweep: the dataset and its
+    candidate tables, shared with every call on the same dataset
+    (_build_tables), with the arrays derived from them."""
 
     def __init__(self, scored: ScoredDataset):
         self.scored = scored
         self.tables = _build_tables(scored)
-        self._correct = {}
-        self._stats = {}
 
     def correct(self, g: int) -> np.ndarray:
-        if g not in self._correct:
-            self._correct[g] = _correct_array(self.tables[g])
-        return self._correct[g]
+        return self.tables[g].correct
 
     def stat(self, g: int, name: str) -> np.ndarray:
-        if (g, name) not in self._stats:
-            self._stats[g, name] = _stat_array(self.tables[g], name)
-        return self._stats[g, name]
+        return self.tables[g].stat(name)
 
-    @functools.cached_property
+    @property
     def uncon(self) -> tuple[int, ...]:
         """Per group, the first candidate classifying the most rows correctly."""
-        return tuple(int(np.argmax(self.correct(g))) for g in range(len(self.tables)))
+        return tuple(t.uncon for t in self.tables)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +518,11 @@ def _members(problem, stat_names) -> _Members:
     # The key stays below a layout's groups x K cells times the members.
     order = np.argsort(key, kind="stable")
     keep = keep[order]
-    # take along axis 1 gathers several times faster than [:, keep]
+    # take along axis 1 gathers several times faster than [:, keep];
+    # correct counts are int64 here, since run_keys multiplies them by the
+    # member count
     return _Members(len(parts), group[order], idx[keep], stats.take(keep, axis=1),
-                    rank.take(order, axis=1), values, correct[keep])
+                    rank.take(order, axis=1), values, correct[keep].astype(np.int64))
 
 
 def _distinct(v):

@@ -82,12 +82,44 @@ def members_or_none(scored, measure):
     (lambda s: candidate_thresholds(s, 2), "no group with id 2"),
     (lambda s: candidate_thresholds(s, -1), "no group with id -1"),
     (lambda s: enforce(s, DP), "unknown constraint <FairnessMeasure.DEMOGRAPHIC_PARITY"),
+    (lambda s: Equality("demographic_parity", 0.1),
+     "measure must be a FairnessMeasure, got 'demographic_parity'"),
+    (lambda s: equality_frontier(s, "demographic_parity", 5),
+     "measure must be a FairnessMeasure, got 'demographic_parity'"),
+    (lambda s: partial_level_up(s, "demographic_parity", 0.01),
+     "measure must be a FairnessMeasure, got 'demographic_parity'"),
+    (lambda s: disparity(enforce(s, Unconstrained()).metrics, "demographic_parity"),
+     "measure must be a FairnessMeasure, got 'demographic_parity'"),
+    (lambda s: harm_profile(None), "measure must be a FairnessMeasure, got None"),
+    (lambda s: tracked_statistics(["dp"]), "measure must be a FairnessMeasure, got \\['dp'\\]"),
+    (lambda s: Equality(DP, "0.1"), "epsilon must be a real number, got '0.1'"),
+    (lambda s: Equality(DP, None), "epsilon must be a real number, got None"),
+    (lambda s: Equality(DP, True), "epsilon must be a real number, got True"),
+    (lambda s: MinimumRate("tpr", None), "tau must be a real number, got None"),
+    (lambda s: MinimumRate("tpr", True), "tau must be a real number, got True"),
+    (lambda s: MinimumRate("tpr", np.True_), "tau must be a real number, got np.True_"),
+    (lambda s: MaximumRate("0.3"), "kappa must be a real number, got '0.3'"),
+    (lambda s: MaximumRate(False), "kappa must be a real number, got False"),
 ], ids=["threshold-count", "threshold-range", "group-id-2", "group-id-negative",
-        "not-a-constraint"])
+        "not-a-constraint", "measure-string-equality", "measure-string-equality-frontier",
+        "measure-string-partial-level-up", "measure-string-disparity", "measure-none-harm-profile",
+        "measure-list-tracked-statistics", "epsilon-string", "epsilon-none", "epsilon-bool",
+        "tau-none", "tau-bool", "tau-numpy-bool", "kappa-string", "kappa-bool"])
 def test_input_errors(make, message):
     s = scored_of([(0.2, 0, "a"), (0.7, 1, "a"), (0.4, 1, "b"), (0.6, 0, "b")])
     with pytest.raises(DataError, match=message):
         make(s)
+
+
+@pytest.mark.parametrize("constraint, numpy_bound", [
+    (Equality(DP, 0.05), Equality(DP, np.float64(0.05))),
+    (Equality(DP, 1), Equality(DP, np.int64(1))),
+    (MinimumRate("tpr", 0.5), MinimumRate("tpr", np.float32(0.5))),
+    (MinimumRate("tpr", 0), MinimumRate("tpr", np.int8(0))),
+    (MaximumRate(0.25), MaximumRate(np.float64(0.25))),
+], ids=["epsilon-float64", "epsilon-int64", "tau-float32", "tau-int8", "kappa-float64"])
+def test_numpy_bounds_are_accepted(gap_scored, constraint, numpy_bound):
+    assert enforce(gap_scored, numpy_bound) == enforce(gap_scored, constraint)
 
 
 class TestCandidateThresholds:
@@ -728,7 +760,8 @@ class TestMemberSort:
         group, idx, correct, *stats = map(np.concatenate, zip(*parts))
         keep = np.flatnonzero(~np.isnan(stats).any(axis=0))
         keep = keep[np.lexsort((*(v[keep] for v in stats[::-1]), group[keep]))]
-        group, idx, stats, correct = group[keep], idx[keep], np.stack(stats)[:, keep], correct[keep]
+        group, idx, stats = group[keep], idx[keep], np.stack(stats)[:, keep]
+        correct = correct[keep].astype(np.int64)
         empty = np.flatnonzero(np.bincount(group, minlength=len(parts)) == 0)
         if len(empty):
             raise InfeasibleConstraintError(
@@ -1406,37 +1439,41 @@ class TestTableReuse:
         assert fresh.flags.writeable and fresh is not tables[0].thresholds
         assert fresh.tolist() == tables[0].thresholds.tolist()
 
-    def test_warm_results_equal_cold_ones(self, monkeypatch):
-        def outcomes(scored, cold):
-            found = []
-            for run in (
-                    lambda: enforce(scored, Unconstrained()),
-                    lambda: enforce(scored, Equality(DP, 0.05)),
-                    lambda: enforce(scored, Equality(ODDS, 0.1)),
-                    lambda: enforce(scored, MinimumRate("tpr", 0.7)),
-                    lambda: enforce(scored, MaximumRate(0.3)),
-                    lambda: partial_level_up(scored, EO, 0.01),
-                    lambda: full_level_up(scored, "selection_rate"),
-                    lambda: equality_frontier(scored, DP, 6),
-                    lambda: mrc_frontier(scored, "tpr", 6)):
-                if cold:
-                    monkeypatch.setattr(policy_module, "_last_tables", None)
-                try:
-                    found.append(run())
-                except (DataError, InfeasibleConstraintError) as exc:
-                    found.append(str(exc))
-            return found
+    @staticmethod
+    def outcomes(scored, monkeypatch, cold):
+        """The results, or error messages, of nine calls on scored; with
+        cold, the slot is emptied before each call."""
+        found = []
+        for run in (
+                lambda: enforce(scored, Unconstrained()),
+                lambda: enforce(scored, Equality(DP, 0.05)),
+                lambda: enforce(scored, Equality(ODDS, 0.1)),
+                lambda: enforce(scored, MinimumRate("tpr", 0.7)),
+                lambda: enforce(scored, MaximumRate(0.3)),
+                lambda: partial_level_up(scored, EO, 0.01),
+                lambda: full_level_up(scored, "selection_rate"),
+                lambda: equality_frontier(scored, DP, 6),
+                lambda: mrc_frontier(scored, "tpr", 6)):
+            if cold:
+                monkeypatch.setattr(policy_module, "_last_tables", None)
+            try:
+                found.append(run())
+            except (DataError, InfeasibleConstraintError) as exc:
+                found.append(str(exc))
+        return found
 
+    def test_warm_results_equal_cold_ones(self, monkeypatch):
         rng = np.random.default_rng(9)
         for _ in range(12):
             scored = random_small_scored(rng, int(rng.integers(2, 5)), int(rng.integers(3, 15)))
-            cold = outcomes(scored, cold=True)
-            assert outcomes(scored, cold=False) == cold
+            cold = self.outcomes(scored, monkeypatch, cold=True)
+            assert self.outcomes(scored, monkeypatch, cold=False) == cold
 
 
 class TestProblem:
-    """One problem per call or sweep computes each group's correct counts
-    and each statistic array the constraint reads once, and no other."""
+    """Each group's correct counts and each statistic array a constraint
+    reads are computed once per table, so once per live dataset, and no
+    other; they die with their table."""
 
     @pytest.fixture
     def computed(self, monkeypatch):
@@ -1461,7 +1498,13 @@ class TestProblem:
         assert len(arrays) == len(set(arrays))
         assert sorted(name for _, name in calls) == sorted(["correct", *names] * n_groups)
 
-    @pytest.mark.parametrize("run, names", [
+    @pytest.fixture
+    def fresh_gap(self, gap_scored):
+        """A copy of gap_scored, whose tables no earlier call has built."""
+        return scored_from_arrays(gap_scored.scores.copy(), gap_scored.labels.copy(),
+                                  gap_scored.groups.copy(), gap_scored.group_names)
+
+    RUNS = pytest.mark.parametrize("run, names", [
         (lambda s: mrc_frontier(s, "selection_rate", 20), ["selection_rate"]),
         (lambda s: mrc_frontier(s, "tpr", 20), ["tpr"]),
         (lambda s: equality_frontier(s, DP, 20), ["selection_rate"]),
@@ -1472,9 +1515,65 @@ class TestProblem:
     ], ids=["mrc-frontier-rate", "mrc-frontier-tpr", "equality-frontier-dp",
             "equality-frontier-eodds", "full-level-up", "partial-level-up-dp",
             "partial-level-up-eo"])
-    def test_each_array_computed_once(self, computed, gap_scored, run, names):
-        run(gap_scored)
-        self.assert_once_each(computed, names, gap_scored.n_groups)
+
+    @RUNS
+    def test_each_array_computed_once(self, computed, fresh_gap, run, names):
+        run(fresh_gap)
+        self.assert_once_each(computed, names, fresh_gap.n_groups)
+
+    @RUNS
+    def test_a_second_call_computes_no_array(self, computed, fresh_gap, run, names):
+        first = run(fresh_gap)
+        assert computed
+        computed.clear()
+        assert run(fresh_gap) == first
+        assert computed == []
+
+    def test_another_dataset_computes_its_own_arrays_and_frees_the_first_ones(
+            self, computed):
+        first, second = TestTableReuse.fresh(11), TestTableReuse.fresh(12)
+        full_level_up(first, "selection_rate")
+        rate = weakref.ref(policy_module._Problem(first).stat(0, "selection_rate"))
+        computed.clear()
+        full_level_up(second, "selection_rate")
+        tables = {id(t) for t in policy_module._build_tables(second)}
+        assert {id(table) for table, _ in computed} == tables
+        self.assert_once_each(computed, ["selection_rate"], second.n_groups)
+        gc.collect()
+        assert rate() is None
+        assert first.n_rows  # the first dataset is still alive
+
+    def test_kept_arrays_are_read_only(self, fresh_gap):
+        problem = policy_module._Problem(fresh_gap)
+        for g in range(fresh_gap.n_groups):
+            kept = [problem.correct(g), *(problem.stat(g, name) for name in STATISTIC_DIRECTIONS)]
+            for arr in kept:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+            # the correct counts in the table's count type (int32 here);
+            # the member sets widen them for run_keys
+            assert kept[0].dtype == problem.tables[g].tp.dtype == np.int32
+            # the same arrays, not copies, on the next read
+            assert problem.correct(g) is kept[0]
+            assert policy_module._Problem(fresh_gap).stat(g, "tpr") is problem.stat(g, "tpr")
+
+    def test_warm_arrays_give_cold_results(self, computed, monkeypatch):
+        # each array is computed at most once over a warm round of calls,
+        # none in a second warm round, and every result equals the one
+        # computed from a cold slot
+        rng = np.random.default_rng(13)
+        outcomes = TestTableReuse.outcomes
+        for _ in range(12):
+            scored = random_small_scored(rng, int(rng.integers(2, 5)), int(rng.integers(3, 15)))
+            cold = outcomes(scored, monkeypatch, cold=True)
+            computed.clear()
+            assert outcomes(scored, monkeypatch, cold=False) == cold
+            arrays = [(id(table), name) for table, name in computed]
+            assert len(arrays) == len(set(arrays))
+            computed.clear()
+            assert outcomes(scored, monkeypatch, cold=False) == cold
+            assert computed == []
 
     @pytest.mark.parametrize("constraint, names", [
         (["dp", "--epsilon", "0.02"], ["selection_rate"]),
