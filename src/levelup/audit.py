@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import metrics as M
-from .data import DataError, _parse_json_object, _read_text
+from .data import DataError, _parse_json_object, _python_number, _read_text
 from .metrics import STATISTIC_DIRECTIONS, FairnessMeasure, GroupMetrics
 
 __all__ = [
@@ -218,7 +218,7 @@ def build_report(
         constrained=constrained,
         constraint_description=dict(constraint_description),
         split=split,
-        tolerance=tolerance,
+        tolerance=_python_number(tolerance),
         accuracy_before=M._pooled_accuracy(baseline),
         accuracy_after=M._pooled_accuracy(constrained),
         per_group_deltas=deltas,

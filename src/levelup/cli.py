@@ -30,8 +30,9 @@ from .data import (
     DataError,
     GroupSpec,
     SynthSpec,
+    _csv_header,
+    _opened,
     _read_text,
-    _utf8,
     load_csv,
     save_csv,
     split,
@@ -60,7 +61,7 @@ MEASURE_ALIASES = {
 
 _FLAGS = {
     "out": dict(help="output directory (default: $LEVELUP_OUT or ./levelup_out)"),
-    "seed": dict(type=int, default=0, help="seed for splitting and training"),
+    "seed": dict(type=int, default=0, help="seed for the train/eval split"),
     "data": dict(help="input CSV path"),
     "label_col": dict(help="label column name"),
     "positive_label": dict(help="label value treated as positive"),
@@ -180,12 +181,10 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, outputs: list[str]) -
 
 
 def _load_json(path, what: str):
-    """The parsed JSON file; a DataError naming it when it cannot be read,
-    is not UTF-8 or is not JSON."""
+    """The parsed JSON file; a DataError naming it when it cannot be
+    opened, is not UTF-8 or is not JSON."""
     try:
         return json.loads(_read_text(path, what))
-    except OSError as exc:
-        raise DataError(f"cannot open {what} {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise DataError(f"{what} {path} is not valid JSON: {exc}")
 
@@ -215,10 +214,9 @@ def _schema_for(cfg: dict) -> CsvSchema:
             raise UsageError(f"--{key.replace('_', '-')} is required with --data")
     features = cfg.get("feature_cols")
     if not features:
-        with open(cfg["data"], newline="", encoding="utf-8") as handle, \
-                _utf8(cfg["data"], "data"):
-            header = next(csv.reader(handle), None)
-        if not header:
+        with _opened(cfg["data"], "data", newline="") as handle:
+            header = _csv_header(csv.reader(handle), cfg["data"])
+        if not header:  # a blank first record
             raise DataError(f"{cfg['data']} has no header row")
         features = [
             c for c in header if c not in (cfg["label_col"], cfg["group_col"])
@@ -258,7 +256,6 @@ def _scorer_config(cfg: dict) -> ScorerConfig:
         learning_rate=cfg["learning_rate"],
         iterations=cfg["iterations"],
         l2=cfg["l2"],
-        seed=cfg["seed"],
     )
 
 
@@ -307,7 +304,7 @@ _FRONTIER_KEYS = (
     "resolution",
 )
 _AUDIT_KEYS = ("out", "scores", "policy", "baseline_policy", "tolerance")
-_SYNTH_KEYS = ("out", "seed", "synth_spec")
+_SYNTH_KEYS = ("out", "synth_spec")
 
 
 def _cmd_synth(cfg: dict, outdir: Path) -> list[str]:

@@ -1,5 +1,9 @@
 """Dataset loading, validation, splitting, and synthetic generation.
 
+Every input file of the package, CSV or JSON, is opened here
+(``_opened``), so a file that cannot be opened or is not UTF-8 fails
+with the same DataError wherever it enters.
+
 All datasets are immutable after construction: numpy arrays are marked
 read-only so downstream code cannot mutate shared state.  Group ids are
 dense integers assigned in order of first appearance in the source; the
@@ -50,20 +54,50 @@ class DataError(ValueError):
 
 
 @contextlib.contextmanager
-def _utf8(path, what: str):
-    """Turn a UnicodeDecodeError raised in the block, while reading the
-    file at path, into a DataError naming the file."""
+def _opened(path, what: str, newline: str | None = None):
+    """The UTF-8 file at path, open for reading: every input file is
+    opened here.  A DataError names the file by its role, what, when it
+    cannot be opened or when the block meets text that is not UTF-8.  CSV
+    readers pass newline="", JSON ones keep universal newlines."""
     try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {what} is not UTF-8 text: {exc}") from exc
+        handle = open(path, newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open {what} {path}: {exc.strerror}") from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {what} is not UTF-8 text: {exc}") from exc
 
 
 def _read_text(path, what: str) -> str:
-    """The text of the UTF-8 file at path; a DataError naming it when it
-    is not UTF-8."""
-    with open(path, encoding="utf-8") as handle, _utf8(path, what):
+    """The text of the UTF-8 file at path, what its role (see _opened)."""
+    with _opened(path, what) as handle:
         return handle.read()
+
+
+def _csv_header(reader, path) -> list[str]:
+    """The first record of a CSV reader on the file at path, blank or not;
+    a DataError when the file has none."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path} has no header row")
+    return header
+
+
+class _GroupCells(dict):
+    """Raw group cell -> group id, or -1 for a blank cell.  Ids follow the
+    order in which the stripped names first appear; ``names`` holds it."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: dict[str, int] = {}
+
+    def __missing__(self, cell: str) -> int:
+        name = cell.strip()
+        gid = self.names.setdefault(name, len(self.names)) if name else -1
+        self[cell] = gid
+        return gid
 
 
 def _parse_json_object(text: str, where: str, what: str, parse):
@@ -99,6 +133,12 @@ def _numbers(values, message: str) -> np.ndarray:
         return values.astype(np.float64)
     except (TypeError, ValueError):
         raise DataError(message) from None
+
+
+def _python_number(value):
+    """value as a Python number when it is a numpy scalar, so the JSON
+    writers take it; anything else as given."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _labels_and_groups(labels, groups, group_names) -> tuple[np.ndarray, np.ndarray]:
@@ -210,20 +250,15 @@ def load_csv(path: str | Path, schema: CsvSchema) -> LabeledDataset:
     The label is 1 where the cell equals ``schema.positive_label_value``
     and 0 otherwise.  Rows with an empty cell in any named column are
     rejected with a located error; unparseable numeric cells likewise.
-    A file that is not UTF-8 raises a DataError naming it, after any bad
-    row read before the undecodable byte.
+    Blank records are skipped, and rows are numbered as records of the
+    file, counting them.  A file that cannot be opened raises a DataError
+    naming it; one that is not UTF-8 too, after any bad row read before
+    the undecodable byte.
     """
     path = Path(path)
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    with handle, _utf8(path, "data"):
+    with _opened(path, "data", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} has no header row") from None
+        header = _csv_header(reader, path)
         col_index = {name: i for i, name in enumerate(header)}
         needed = (schema.label_column, schema.group_column, *schema.feature_columns)
         for name in needed:
@@ -270,16 +305,9 @@ def load_csv(path: str | Path, schema: CsvSchema) -> LabeledDataset:
                 columns.append((arr == lev).astype(np.float64))
 
     gi = col_index[schema.group_column]
-    group_names: list[str] = []
-    group_ids: dict[str, int] = {}
-    groups = np.empty(len(rows), dtype=np.int64)
-    for k, r in enumerate(rows):
-        g = r[gi].strip()
-        if g not in group_ids:
-            group_ids[g] = len(group_names)
-            group_names.append(g)
-        groups[k] = group_ids[g]
-    if len(group_names) < 2:
+    groups_of = _GroupCells()
+    groups = np.fromiter((groups_of[r[gi]] for r in rows), np.int64, len(rows))
+    if len(groups_of.names) < 2:
         raise DataError(
             f"fewer than 2 groups present in column {schema.group_column!r}"
         )
@@ -293,7 +321,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> LabeledDataset:
         features=np.column_stack(columns),
         labels=labels,
         groups=groups,
-        group_names=tuple(group_names),
+        group_names=tuple(groups_of.names),
         feature_names=tuple(feature_names),
     )
 

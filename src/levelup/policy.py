@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as M
-from .data import DataError
+from .data import DataError, _python_number
 from .metrics import FairnessMeasure, harm_profile, tracked_statistics
 from .scoring import ScoredDataset
 
@@ -147,6 +147,7 @@ class Equality:
             raise DataError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if not harm_profile(self.measure).enforceable:
             raise DataError(f"{self.measure.value} is reportable but not enforceable")
+        object.__setattr__(self, "epsilon", _python_number(self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,7 @@ class MinimumRate:
         _check_bound("tau", self.tau)
         if not 0.0 <= self.tau <= 1.0:
             raise DataError("tau must lie in [0, 1]")
+        object.__setattr__(self, "tau", _python_number(self.tau))
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,7 @@ class MaximumRate:
         _check_bound("kappa", self.kappa)
         if not 0.0 <= self.kappa <= 1.0:
             raise DataError("kappa must lie in [0, 1]")
+        object.__setattr__(self, "kappa", _python_number(self.kappa))
 
 
 @dataclass(frozen=True)
@@ -392,7 +395,8 @@ class _Problem:
 # disparity d is the smallest, over tied anchors, of the largest per-group
 # least offset among best-holding members; the higher minimum is the
 # largest anchor reaching d; there, each group takes its smallest
-# candidate index among best-holding members with offset <= d.
+# candidate index among best-holding members with offset <= d.  One tie
+# stage, _settle, does this for one statistic and for each chunk of two.
 #
 # Two statistics nest the search: at each first-statistic anchor, the
 # one-statistic search on the second statistic over the anchor's windows,
@@ -624,18 +628,40 @@ def _window_search(members, eps):
     if len(members.stats) == 2:
         return _box_scan(members, [_ends(v, eps) for v in members.values])
     anchors, _, L, R = _windows(members, 0, _ends(members.values[0], eps))
+    value = members.values[0][anchors]
+    found = _settle(members, L, R, value, value, 0)
+    if found is None:
+        return -1, math.inf, None
+    top, (d, _, pick) = found
+    return top, d, pick
+
+
+def _settle(members, L, R, value, anchor, floor):
+    """The tie stage over anchors whose windows are [L, R).  value holds
+    each anchor's value of the last statistic, which offsets are taken
+    from, and anchor its value of the first, which the higher-minimum
+    stage maximizes (one array, with one statistic).  When the best total
+    reaches floor, (that total, (d, -a, pick)): d the least disparity
+    among the anchors reaching it, a the largest anchor reaching d and
+    pick the smallest of their picks; None otherwise."""
     best, total = _totals(members, L, R)
     top = int(total.max())
-    if top < 0:
-        return -1, math.inf, None
+    if top < floor:
+        return None
     tied = np.flatnonzero(total == top)
-    value = members.values[0][anchors[tied]]
+    value, anchor = value[tied], anchor[tied]
     runs = _runs(members, L[:, tied], R[:, tied], best[:, tied])
-    # positions ascend the statistic, so a run's first member holds its
-    # least offset, and only the picked anchor's runs are gathered
-    least = (members.stats[0, runs[0][runs[1]]] - value).max(axis=0)
+    if len(members.stats) == 1:
+        # positions ascend the statistic, so a run's first member holds its
+        # least offset, and only the picked anchor's runs are gathered
+        least = (members.stats[0, runs[0][runs[1]]] - value).max(axis=0)
+    else:
+        _, off, start = _gather(members, runs, value)
+        least = np.minimum.reduceat(off, start).reshape(len(L), -1).max(axis=0)
     d = least.min()
-    return top, float(d), _pick(members, runs, value, d, np.flatnonzero(least == d)[-1:])
+    a = anchor[least == d].max()
+    at = np.flatnonzero((least == d) & (anchor == a))
+    return top, (float(d), -a, _pick(members, runs, value, d, at))
 
 
 def _box_scan(members, ends):
@@ -706,20 +732,7 @@ def _chunk_search(members, outer, L, R, ends, floor):
     base = np.arange(G)[:, None] * (S * K)
     L = np.searchsorted(block, base + inner)
     R = np.searchsorted(block, base + seg * K + ends[rank])
-    best, total = _totals(chunk, L, R)
-    top = int(total.max())
-    if top < floor:
-        return None
-    tied = np.flatnonzero(total == top)
-    value = members.values[1][rank[tied]]
-    runs = _runs(chunk, L[:, tied], R[:, tied], best[:, tied])
-    _, off, start = _gather(chunk, runs, value)
-    least = np.minimum.reduceat(off, start).reshape(G, -1).max(axis=0)
-    d = least.min()
-    anchor = outer[seg[tied]]
-    a = anchor[least == d].max()
-    at = np.flatnonzero((least == d) & (anchor == a))
-    return top, (float(d), -a, _pick(chunk, runs, value, d, at))
+    return _settle(chunk, L, R, members.values[1][rank], outer[seg], floor)
 
 
 def _prune(members, ends):
@@ -1145,7 +1158,7 @@ def partial_level_up(
         note = "target level unreachable on the grid for some group" if missed else ""
     return _finish(problem, [(
         picks, "partial_level_up",
-        {"measure": measure.value, "epsilon": epsilon, "statistic": stat},
+        {"measure": measure.value, "epsilon": constraint.epsilon, "statistic": stat},
         "grid-walk", note,
     )])[0]
 

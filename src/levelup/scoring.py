@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, LabeledDataset, _frozen, _labels_and_groups, _utf8
+from .data import (
+    DataError, LabeledDataset, _csv_header, _frozen, _GroupCells, _labels_and_groups, _opened,
+)
 
 __all__ = [
     "SCORE_CLAMP",
@@ -110,14 +112,13 @@ class ScorerConfig:
     """Training knobs.
 
     learning_rate is relative to an internal curvature bound, so 1.0 is a
-    stable default for any standardized dataset.  The seed is recorded for
-    provenance; the fit itself is deterministic from a zero start.
+    stable default for any standardized dataset.  The fit is deterministic
+    from a zero start.
     """
 
     learning_rate: float = 1.0
     iterations: int = 5000
     l2: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.iterations < 1 or self.l2 < 0:
@@ -329,21 +330,6 @@ class _LabelCells(dict):
         return label
 
 
-class _GroupCells(dict):
-    """Raw group cell -> group id, or -1 for a blank cell.  Ids follow the
-    order in which the stripped names first appear; ``names`` holds it."""
-
-    def __init__(self):
-        super().__init__()
-        self.names: dict[str, int] = {}
-
-    def __missing__(self, cell: str) -> int:
-        name = cell.strip()
-        gid = self.names.setdefault(name, len(self.names)) if name else -1
-        self[cell] = gid
-        return gid
-
-
 def _parse_block(block: list[list[str]], labels_of: _LabelCells, groups_of: _GroupCells):
     """Column-wise parse of one block of records: (scores, labels, groups)
     arrays, or None when a check fails somewhere in the block."""
@@ -401,20 +387,13 @@ def read_scores_csv(path: str | Path) -> ScoredDataset:
     clamped as by ``scored_from_arrays``.  The first bad record in file
     order raises a DataError with its row (records counted from 1 for the
     header, blank ones included) and, for a bad cell, its column; a file
-    that is not UTF-8 raises a DataError naming it, after any bad record
-    read before the undecodable byte.
+    that cannot be opened raises a DataError naming it, and one that is
+    not UTF-8 too, after any bad record read before the undecodable byte.
     """
     path = Path(path)
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
-    with handle, _utf8(path, "scores"):
+    with _opened(path, "scores", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} has no header row") from None
+        header = _csv_header(reader, path)
         expected = ["score", "label", "group"]
         if [h.strip() for h in header] != expected:
             raise DataError(f"score CSV header must be {','.join(expected)}")

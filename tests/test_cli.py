@@ -106,6 +106,18 @@ class TestSynth:
     def test_missing_spec_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2
 
+    def test_seed_is_usage_error(self, spec_path, tmp_path, capsys):
+        # the spec carries the seed synth uses
+        assert main(["synth", "--synth-spec", str(spec_path), "--seed", "3",
+                     "--out", str(tmp_path / "x")]) == 2
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 3}))
+        assert main(["synth", "--synth-spec", str(spec_path), "--config", str(config),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("usage error: config key 'seed' does not apply to this command\n")
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_outputs(self, spec_path, tmp_path):
@@ -428,16 +440,19 @@ class TestConfigResolution:
 
 
 @pytest.fixture
-def input_files(tmp_path, scores_path, spec_path):
+def input_files(tmp_path, scores_path, spec_path, enforce_dir):
     """Paths of the files the input-error cases name."""
     bad_spec = dict(SYNTH_SPEC, groups=[dict(g) for g in SYNTH_SPEC["groups"]])
     del bad_spec["groups"][1]["score_spread"]
     files = {"scores": scores_path, "spec": spec_path, "out": tmp_path / "out",
+             "policy": enforce_dir / "policy.json",
              "list_config": tmp_path / "list.json", "bad_spec": tmp_path / "bad_spec.json",
-             "empty_data": tmp_path / "empty.csv", "missing": tmp_path / "missing.json"}
+             "empty_data": tmp_path / "empty.csv", "missing": tmp_path / "missing.json",
+             "blank_first": tmp_path / "blank_first.csv"}
     files["list_config"].write_text('["seed", 3]')
     files["bad_spec"].write_text(json.dumps(bad_spec))
     files["empty_data"].write_text("")
+    files["blank_first"].write_text("\ny,g,x\n1,a,0.5\n0,b,0.25\n")
     return files
 
 
@@ -446,6 +461,20 @@ def input_files(tmp_path, scores_path, spec_path):
      "usage error: config must be a flat JSON object"),
     ("enforce --config {missing} --scores {scores} --constraint none", 3,
      "data error: cannot open config {missing}: No such file or directory"),
+    ("synth --synth-spec {missing}", 3,
+     "data error: cannot open synth spec {missing}: No such file or directory"),
+    ("enforce --scores {missing} --constraint none", 3,
+     "data error: cannot open scores {missing}: No such file or directory"),
+    ("train --data {missing} --label-col y --positive-label 1 --group-col g", 3,
+     "data error: cannot open data {missing}: No such file or directory"),
+    ("train --data {missing} --label-col y --positive-label 1 --group-col g --feature-cols x", 3,
+     "data error: cannot open data {missing}: No such file or directory"),
+    ("audit --scores {scores} --policy {missing}", 3,
+     "data error: cannot open policy {missing}: No such file or directory"),
+    ("audit --scores {scores} --policy {policy} --baseline-policy {missing}", 3,
+     "data error: cannot open baseline policy {missing}: No such file or directory"),
+    ("train --data {blank_first} --label-col y --positive-label 1 --group-col g", 3,
+     "data error: {blank_first} has no header row"),
     ("synth --synth-spec {bad_spec}", 3,
      "data error: malformed synth spec: KeyError('score_spread')"),
     ("train --data {empty_data}", 2, "usage error: --label-col is required with --data"),
@@ -462,8 +491,10 @@ def input_files(tmp_path, scores_path, spec_path):
     ("frontier --scores {scores} --mode min-rate", 2,
      "usage error: min-rate frontier needs --stat"),
     ("audit --policy {missing}", 2, "usage error: audit needs --scores"),
-], ids=["config-list", "config-missing", "synth-spec-key", "data-without-label-col",
-        "data-empty", "min-rate-without-tau", "max-rate-without-kappa",
+], ids=["config-list", "config-missing", "synth-spec-missing", "scores-missing",
+        "data-missing", "data-missing-with-feature-cols", "policy-missing",
+        "baseline-policy-missing", "data-blank-first-record", "synth-spec-key",
+        "data-without-label-col", "data-empty", "min-rate-without-tau", "max-rate-without-kappa",
         "equality-without-epsilon", "equality-frontier-without-measure",
         "min-rate-frontier-without-stat", "audit-without-scores"])
 def test_input_errors(input_files, capsys, args, code, message):

@@ -9,7 +9,10 @@ from levelup import (
     SynthSpec,
     adult_sample_path,
     adult_sample_schema,
+    frontier_from_jsonl,
     load_csv,
+    load_report,
+    read_scores_csv,
     save_csv,
     split,
     synth_generate,
@@ -337,8 +340,19 @@ def group_spec(size=10, spread=0.2):
     (lambda _: labeled(groups=(0, 2)), "group id out of range"),
     (lambda _: labeled(groups=(0, -1)), "group id out of range"),
     (lambda _: labeled(groups=(1, 1)), "fewer than 2 distinct groups present"),
-    (lambda tmp: load_csv(tmp / "missing.csv", SCHEMA), "cannot open .*missing.csv"),
+    (lambda tmp: load_csv(tmp / "missing.csv", SCHEMA),
+     "cannot open data .*missing.csv: No such file or directory"),
+    (lambda tmp: read_scores_csv(tmp / "missing.csv"),
+     "cannot open scores .*missing.csv: No such file or directory"),
+    (lambda tmp: load_report(tmp / "missing.json"),
+     "cannot open audit report .*missing.json: No such file or directory"),
+    (lambda tmp: frontier_from_jsonl(tmp / "missing.jsonl"),
+     "cannot open frontier .*missing.jsonl: No such file or directory"),
     (lambda tmp: load_csv(csv_file(tmp, ""), SCHEMA), "data.csv has no header row"),
+    (lambda tmp: load_csv(csv_file(tmp, "\nx,y,g\n0.5,1,a\n0.25,0,b\n"), SCHEMA),
+     "column missing from header \\(column 'y'\\)"),
+    (lambda tmp: read_scores_csv(csv_file(tmp, "\nscore,label,group\n0.5,1,a\n")),
+     "score CSV header must be score,label,group"),
     (lambda tmp: load_csv(csv_file(tmp, "x,y,g\n"), SCHEMA),
      "data.csv has a header but no data rows"),
     (lambda tmp: load_csv(csv_file(tmp, "x,y,g\n0.1,1,a\n0.2,0,a\n"), SCHEMA),
@@ -350,11 +364,27 @@ def group_spec(size=10, spread=0.2):
     "labels-rows", "groups-rows", "feature-names", "empty", "label-half", "label-fraction",
     "one-name", "repeated-name", "repeated-name-later", "fractional-group", "nan-group",
     "group-too-large", "group-negative", "one-group-present", "csv-missing",
-    "csv-no-header", "csv-header-only", "csv-one-group", "spec-size-0", "spec-spread-0",
+    "scores-csv-missing", "report-missing", "frontier-missing", "csv-no-header",
+    "csv-blank-first-record", "scores-csv-blank-first-record", "csv-header-only",
+    "csv-one-group", "spec-size-0", "spec-spread-0",
 ])
 def test_input_errors(tmp_path, make, message):
     with pytest.raises(DataError, match=message):
         make(tmp_path)
+
+
+def test_blank_records_are_skipped(tmp_path):
+    rows = ["x,y,g", "0.5,1,a", "0.25,0,b", "0.75,1,a"]
+    plain = load_csv(csv_file(tmp_path, "\n".join(rows) + "\n"), SCHEMA)
+    blanks = load_csv(csv_file(tmp_path, "\n".join(rows[:2] + ["", ""] + rows[2:]) + "\n\n"),
+                      SCHEMA)
+    for name in ("features", "labels", "groups"):
+        assert np.array_equal(getattr(blanks, name), getattr(plain, name))
+    assert (blanks.group_names, blanks.feature_names) == (plain.group_names, plain.feature_names)
+    # rows keep their number in the file, blank records counted
+    with pytest.raises(DataError) as info:
+        load_csv(csv_file(tmp_path, "x,y,g\n0.5,1,a\n\n0.25,0\n"), SCHEMA)
+    assert (info.value.row, info.value.column) == (4, None)
 
 
 def test_int64_labels_and_groups_are_kept_without_a_copy():

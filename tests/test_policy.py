@@ -22,6 +22,7 @@ from levelup import (
     Provenance,
     ThresholdPolicy,
     Unconstrained,
+    build_report,
     candidate_thresholds,
     disparity,
     enforce,
@@ -32,6 +33,7 @@ from levelup import (
     partial_level_up,
     policy_from_json_dict,
     policy_to_json_dict,
+    report_to_json_dict,
     scored_from_arrays,
     write_scores_csv,
 )
@@ -120,6 +122,28 @@ def test_input_errors(make, message):
 ], ids=["epsilon-float64", "epsilon-int64", "tau-float32", "tau-int8", "kappa-float64"])
 def test_numpy_bounds_are_accepted(gap_scored, constraint, numpy_bound):
     assert enforce(gap_scored, numpy_bound) == enforce(gap_scored, constraint)
+
+
+def _report_json(scored, tolerance):
+    base = enforce(scored, Unconstrained())
+    result = enforce(scored, Equality(DP, 0.05))
+    return report_to_json_dict(build_report(base.metrics, result.metrics, {"kind": "equality"},
+                                            split="train", tolerance=tolerance))
+
+
+@pytest.mark.parametrize("write, bound", [
+    (lambda s, b: policy_to_json_dict(enforce(s, MinimumRate("tpr", b)).policy), np.int64(0)),
+    (lambda s, b: policy_to_json_dict(enforce(s, MaximumRate(b)).policy), np.float32(0.5)),
+    (lambda s, b: policy_to_json_dict(enforce(s, Equality(DP, b)).policy), np.float32(0.05)),
+    (lambda s, b: policy_to_json_dict(partial_level_up(s, DP, b).policy), np.float32(0.01)),
+    (_report_json, np.float32(0.01)),
+], ids=["tau-int64", "kappa-float32", "epsilon-float32", "partial-level-up-float32",
+        "tolerance-float32"])
+def test_numpy_bounds_are_written_as_python_numbers(gap_scored, write, bound):
+    # the same call with the Python number the numpy scalar holds
+    payload = write(gap_scored, bound)
+    assert json.dumps(payload) == json.dumps(write(gap_scored, bound.item()))
+    assert payload == write(gap_scored, bound.item())
 
 
 class TestCandidateThresholds:

@@ -383,7 +383,7 @@ class TestScoresCsvErrors:
         path = tmp_path / "nope.csv"
         with pytest.raises(DataError) as info:
             read_scores_csv(path)
-        assert str(info.value) == f"cannot open {path}: No such file or directory"
+        assert str(info.value) == f"cannot open scores {path}: No such file or directory"
         assert (info.value.row, info.value.column) == (None, None)
 
 
